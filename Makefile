@@ -5,7 +5,7 @@ verify: vet build test lint
 # Invariant lint tier: one binary runs the seven BlueFi analyzers
 # (determinism, poolbalance, lockcheck, scratchalias, alloccheck,
 # leakcheck, obsnames) plus the std vet passes the repo cares about
-# (copylocks, loopclosure, atomicassign, nilness). Non-zero exit on any
+# (copylocks, atomicassign, nilness). Non-zero exit on any
 # finding not recorded in lint_baseline.json. The binary is built once
 # into .bin/ and per-package results are cached in .lintcache/, so a
 # no-change re-run costs milliseconds. See DESIGN.md §7 and §11 for the
@@ -54,8 +54,8 @@ build:
 test:
 	go test -count=1 ./...
 
-# Race tier: the concurrency layer (Pool, parallel rehearsal search,
-# pool-backed audio streams) under the race detector. Short mode skips
+# Race tier: the concurrency layer (Pool, its EDF job queue, pool-backed
+# audio streams and sessions) under the race detector. Short mode skips
 # the long experiment suites but keeps every concurrency and golden test.
 .PHONY: race
 race: vet

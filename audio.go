@@ -370,13 +370,12 @@ func (a *AudioStream) synthesizeAll(scheduled []*a2dp.ScheduledPacket) ([]*Audio
 		errs := make([]error, len(scheduled))
 		var wg sync.WaitGroup
 		for i, sp := range scheduled {
-			i, sp := i, sp
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				// The segment's slot clock is its EDF deadline: under
-				// Options.EDF the pool services whichever stream's
-				// segment is closest to its slot.
+				// The segment's slot clock is its deadline: the pool
+				// services whichever stream's segment is closest to its
+				// slot.
 				res, err := poolDoDeadline(a.pool, uint64(sp.Clock), func(s *Synthesizer) (seg, error) {
 					tx, slack, serr := a.synthesizeScheduled(s, sp)
 					if serr != nil {

@@ -242,13 +242,11 @@ func BenchmarkPoolBeaconBatch(b *testing.B) {
 	}
 }
 
-// The rehearsal-search benches isolate the tentpole: the full
-// PhaseSearch (synth + rehearsal demod per candidate) serial versus
-// fanned over the in-synthesizer worker pool.
-func benchPhaseSearch(b *testing.B, parallelism int) {
+// BenchmarkPhaseSearch isolates the rehearsal-scored search: the full
+// PhaseSearch (synth + rehearsal demod per candidate) on a beacon.
+func BenchmarkPhaseSearch(b *testing.B) {
 	opts := core.DefaultOptions()
 	opts.GFSK = gfsk.BLEConfig()
-	opts.SearchParallelism = parallelism
 	s, err := core.New(opts)
 	if err != nil {
 		b.Fatal(err)
@@ -263,9 +261,6 @@ func benchPhaseSearch(b *testing.B, parallelism int) {
 		}
 	}
 }
-
-func BenchmarkPhaseSearchSerial(b *testing.B)   { benchPhaseSearch(b, 1) }
-func BenchmarkPhaseSearchParallel(b *testing.B) { benchPhaseSearch(b, 4) }
 
 // --- ablation benches for DESIGN.md's design choices -----------------------
 

@@ -163,24 +163,22 @@ type Options struct {
 	// QueueDepth bounds the pool's job queue (0 = 4×workers).
 	QueueDepth int
 	// Overload selects what a full queue does with new jobs: Block
-	// (default), Reject, or DropOldest.
+	// (default), Reject, or DropOldest. The queue itself is always
+	// earliest-deadline-first: audio streams stamp every segment job with
+	// its Bluetooth slot clock, so under load the segment closest to its
+	// 625 µs slot runs first, deadline-less batch jobs yield to real-time
+	// work and pop FIFO among themselves, and DropOldest evicts the job
+	// with the most slack to spare; see DESIGN.md §14.3.
 	Overload OverloadPolicy
-	// EDF orders the pool's job queue earliest-deadline-first instead of
-	// FIFO: audio streams stamp every segment job with its Bluetooth
-	// slot clock, so under load the segment closest to its 625 µs slot
-	// runs first, deadline-less batch jobs yield to real-time work, and
-	// DropOldest evicts the job with the most slack to spare. What a
-	// multi-session A2DP deployment wants; see DESIGN.md §14.
-	EDF bool
 }
 
 // Synthesizer converts Bluetooth packets to WiFi PSDUs for one chip and
 // channel. A Synthesizer's methods must not be called concurrently — but
 // concurrency is available one level up: Pool owns a fleet of independent
-// Synthesizers behind a work queue (SynthesizeBatch / BeaconBatch), and
-// inside each Synthesizer the rehearsal-scored phase search fans out over
-// a bounded worker pool with deterministic, order-independent candidate
-// selection, so parallel synthesis stays bit-identical to serial.
+// Synthesizers behind a work queue (SynthesizeBatch / BeaconBatch). That
+// is the only level of concurrency: each Synthesizer runs its
+// rehearsal-scored phase search serially, so a packet's PSDU does not
+// depend on GOMAXPROCS or on which worker built it.
 type Synthesizer struct {
 	opts    Options
 	chip    *chip.Chip

@@ -61,7 +61,7 @@ func TestChaosQueuePolicies(t *testing.T) {
 	mkJob := func() *poolJob { return &poolJob{done: make(chan struct{})} }
 
 	t.Run("Reject", func(t *testing.T) {
-		q := newJobQueue(2, Reject, false, nil)
+		q := newJobQueue(2, Reject, nil)
 		if err := q.push(mkJob()); err != nil {
 			t.Fatal(err)
 		}
@@ -80,31 +80,38 @@ func TestChaosQueuePolicies(t *testing.T) {
 		}
 	})
 
+	// Deadline-less jobs all tie on noDeadline, and a tie sheds the
+	// oldest admission: batch work loses its stalest job, not its
+	// freshest.
 	t.Run("DropOldest", func(t *testing.T) {
-		q := newJobQueue(1, DropOldest, false, nil)
-		oldest := mkJob()
-		if err := q.push(oldest); err != nil {
-			t.Fatal(err)
+		q := newJobQueue(3, DropOldest, nil)
+		jobs := []*poolJob{mkJob(), mkJob(), mkJob()}
+		for _, j := range jobs {
+			if err := q.push(j); err != nil {
+				t.Fatal(err)
+			}
 		}
 		newest := mkJob()
 		if err := q.push(newest); err != nil {
 			t.Fatalf("DropOldest refused the new job: %v", err)
 		}
 		select {
-		case <-oldest.done:
-			if !errors.Is(oldest.err, ErrJobShed) {
-				t.Fatalf("evicted job failed with %v, want ErrJobShed", oldest.err)
+		case <-jobs[0].done:
+			if !errors.Is(jobs[0].err, ErrJobShed) {
+				t.Fatalf("evicted job failed with %v, want ErrJobShed", jobs[0].err)
 			}
 		default:
-			t.Fatal("evicted job was not failed")
+			t.Fatal("the first-pushed job was not the one evicted")
 		}
-		if got := q.pop(); got != newest {
-			t.Fatal("queue kept the old job instead of the new one")
+		for i, want := range []*poolJob{jobs[1], jobs[2], newest} {
+			if got := q.pop(); got != want {
+				t.Fatalf("pop %d: the survivors must pop in submission order", i)
+			}
 		}
 	})
 
 	t.Run("Block", func(t *testing.T) {
-		q := newJobQueue(1, Block, false, nil)
+		q := newJobQueue(1, Block, nil)
 		if err := q.push(mkJob()); err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +129,7 @@ func TestChaosQueuePolicies(t *testing.T) {
 	})
 
 	t.Run("Closed", func(t *testing.T) {
-		q := newJobQueue(2, Block, false, nil)
+		q := newJobQueue(2, Block, nil)
 		queued := mkJob()
 		if err := q.push(queued); err != nil {
 			t.Fatal(err)
@@ -490,7 +497,6 @@ func TestChaosMultiSessionStorm(t *testing.T) {
 	pool, err := NewPool(Options{
 		Mode:      RealTime,
 		Telemetry: reg,
-		EDF:       true,
 		Faults: &FaultPlan{
 			Seed:             2,
 			WorkerPanicRate:  0.02,

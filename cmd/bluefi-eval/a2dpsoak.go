@@ -22,10 +22,7 @@ package main
 // `make a2dp-soak` runs this in CI.
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
 
 	"bluefi/internal/eval"
 )
@@ -98,20 +95,7 @@ func runA2DPSoak(path, flightDir string, minSessions int) error {
 // appendA2DPCapacity merges the soak result into the benchmark JSON
 // under "a2dpCapacity", leaving every other key untouched.
 func appendA2DPCapacity(path string, res *eval.A2DPSoakResult) error {
-	doc := map[string]any{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("existing %s is not JSON: %w", path, err)
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return err
-	}
-	doc["a2dpCapacity"] = res
-	data, err := json.MarshalIndent(doc, "", "\t")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := mergeBenchJSON(path, func(doc map[string]any) { doc["a2dpCapacity"] = res }); err != nil {
 		return err
 	}
 	fmt.Printf("a2dp capacity snapshot → %s\n", path)

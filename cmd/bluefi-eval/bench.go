@@ -7,6 +7,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"runtime"
@@ -111,12 +112,11 @@ func sec48Bench(mode core.Mode, payloadLen int, pt bt.PacketType, parallel bool)
 }
 
 // phaseSearchBench isolates the rehearsal-scored search: full synthesis
-// of a beacon with the candidate search serial or fanned over workers.
-func phaseSearchBench(parallelism int) func(b *testing.B) {
+// of a beacon with the candidate search.
+func phaseSearchBench() func(b *testing.B) {
 	return func(b *testing.B) {
 		opts := core.DefaultOptions()
 		opts.GFSK = gfsk.BLEConfig()
-		opts.SearchParallelism = parallelism
 		s, err := core.New(opts)
 		if err != nil {
 			b.Fatal(err)
@@ -298,8 +298,8 @@ func runAllocGate(path string) error {
 }
 
 // runBenchJSON executes the suite at GOMAXPROCS 1 and 4 (the -cpu 1,4
-// comparison: serial baseline versus the concurrency layer) and writes
-// the snapshot.
+// comparison: serial baseline versus the concurrency layer) and merges
+// the rows into the snapshot, keeping the keys other modes appended.
 func runBenchJSON(path string) error {
 	snap := &benchSnapshot{
 		Generated: time.Now().UTC().Format(time.RFC3339), //bluefi:nondeterministic-ok snapshot provenance timestamp in BENCH_eval.json
@@ -318,8 +318,7 @@ func runBenchJSON(path string) error {
 		record(snap, "sec48/realtime-1slot"+tag, sec48Bench(core.RealTime, 17, bt.DM1, false))
 		record(snap, "sec48/realtime-5slot"+tag, sec48Bench(core.RealTime, 224, bt.DM5, false))
 		record(snap, "sec48/realtime-1slot-throughput"+tag, sec48Bench(core.RealTime, 17, bt.DM1, true))
-		record(snap, "phase-search/serial"+tag, phaseSearchBench(1))
-		record(snap, "phase-search/parallel"+tag, phaseSearchBench(4))
+		record(snap, "phase-search/serial"+tag, phaseSearchBench())
 		record(snap, "fig9/serial"+tag, fig9Bench(1))
 		record(snap, "fig9/parallel"+tag, fig9Bench(4))
 		record(snap, "fig10/audio"+tag, fig10Bench())
@@ -336,13 +335,37 @@ func runBenchJSON(path string) error {
 		fmt.Printf("  %-10s %-14s %-9s %12.0f ns mean (n=%d)\n", r.Mode, r.Packet, r.Stage, r.MeanNs, r.Count)
 	}
 
-	data, err := json.MarshalIndent(snap, "", "\t")
+	err = mergeBenchJSON(path, func(doc map[string]any) {
+		doc["generated"] = snap.Generated
+		doc["goVersion"] = snap.GoVersion
+		doc["numCPU"] = snap.NumCPU
+		doc["results"] = snap.Results
+		doc["stageBreakdown"] = snap.Stages
+	})
 	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s (%d results)\n", path, len(snap.Results))
 	return nil
+}
+
+// mergeBenchJSON rewrites the benchmark JSON at path with update applied
+// to its top-level keys. Each bluefi-eval mode owns a few keys and leaves
+// every other key untouched, so the snapshot accumulates the bench rows,
+// soak curves and scenario reports side by side.
+func mergeBenchJSON(path string, update func(doc map[string]any)) error {
+	doc := map[string]any{}
+	if data, err := os.ReadFile(path); err == nil {
+		if err := json.Unmarshal(data, &doc); err != nil {
+			return fmt.Errorf("existing %s is not JSON: %w", path, err)
+		}
+	} else if !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
+	update(doc)
+	data, err := json.MarshalIndent(doc, "", "\t")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

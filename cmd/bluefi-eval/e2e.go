@@ -8,10 +8,7 @@ package main
 // the fault reports).
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
 
 	"bluefi"
 	"bluefi/internal/bt"
@@ -184,20 +181,7 @@ func legPDR(snap scan.Snapshot, kind string) (float64, bool) {
 // appendScannerPDR merges the scanner snapshots into the benchmark JSON
 // under "scannerPDR", leaving every other key untouched.
 func appendScannerPDR(path string, snaps map[string]scan.Snapshot) error {
-	doc := map[string]any{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("existing %s is not JSON: %w", path, err)
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return err
-	}
-	doc["scannerPDR"] = snaps
-	data, err := json.MarshalIndent(doc, "", "\t")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := mergeBenchJSON(path, func(doc map[string]any) { doc["scannerPDR"] = snaps }); err != nil {
 		return err
 	}
 	fmt.Printf("\nappended scannerPDR snapshot to %s\n", path)

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -117,20 +116,7 @@ func runFleetSoak(path string, cfg eval.FleetSoakConfig) error {
 // appendFleetCapacity merges the soak result into the benchmark JSON
 // under "fleetCapacity", leaving every other key untouched.
 func appendFleetCapacity(path string, res *eval.FleetSoakResult) error {
-	doc := map[string]any{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("existing %s is not JSON: %w", path, err)
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return err
-	}
-	doc["fleetCapacity"] = res
-	data, err := json.MarshalIndent(doc, "", "\t")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := mergeBenchJSON(path, func(doc map[string]any) { doc["fleetCapacity"] = res }); err != nil {
 		return err
 	}
 	fmt.Printf("fleet capacity snapshot → %s\n", path)

@@ -14,7 +14,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -212,21 +211,11 @@ func runSLO(path, flightDir string) error {
 // appendSLOReport merges the replay under the snapshot's "sloEpisodes"
 // key, leaving every other key untouched.
 func appendSLOReport(path string, rep sloReport) error {
-	snap := map[string]any{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &snap); err != nil {
-			return fmt.Errorf("existing %s is not JSON: %w", path, err)
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return err
-	}
-	prev, _ := snap["sloEpisodes"].([]any)
-	snap["sloEpisodes"] = append(prev, rep)
-	data, err := json.MarshalIndent(snap, "", "\t")
+	err := mergeBenchJSON(path, func(doc map[string]any) {
+		prev, _ := doc["sloEpisodes"].([]any)
+		doc["sloEpisodes"] = append(prev, rep)
+	})
 	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
 	fmt.Printf("appended SLO replay to %s\n", path)

@@ -1,5 +1,5 @@
 // Package stdchecks reimplements the go vet passes the ROADMAP's lint
-// tier needs — copylocks, loopclosure, atomic and a basic nilness — on
+// tier needs — copylocks, atomic and a basic nilness — on
 // the repo's own analysis framework, so `make lint` is one binary
 // invocation instead of vet-plus-N-tools. They are deliberately small:
 // each covers the patterns that occur (or must never occur) in this

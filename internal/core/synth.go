@@ -116,14 +116,6 @@ type Options struct {
 	// it cancels cleanly. Enabled by DefaultOptions; an extension beyond
 	// the paper, ablated in the benches.
 	PilotPrecompensation bool
-	// SearchParallelism bounds the worker count of the PhaseSearch
-	// candidate evaluation. 0 sizes the pool to min(GOMAXPROCS, 4) (four
-	// rotations per search group); 1 forces the serial search; larger
-	// values are capped at the group width. Parallel and serial searches
-	// are guaranteed to select the same candidate — ties break by
-	// candidate order, not completion order — so the synthesized PSDU is
-	// bit-identical either way.
-	SearchParallelism int
 	// PSDUOnly skips predicted-waveform generation: Result.Waveform is
 	// nil and PhaseRMSE is zero. The paper's pipeline emits only the
 	// PSDU; this option makes the §4.8 timing comparison apples-to-apples
@@ -133,7 +125,6 @@ type Options struct {
 	// synthesis spans and rehearsal counters (see internal/obs). The
 	// instrumentation records timing and counts only — it never feeds the
 	// synthesized bits — and a nil registry costs one branch per record.
-	// Worker clones of the parallel phase search share the registry.
 	Telemetry *obs.Registry
 	// Faults, when non-nil, is consulted once per Synthesize call and
 	// may fail it with an injected error — the chaos-test hook for
@@ -181,10 +172,9 @@ type Timings struct {
 // Total sums the per-stage timings.
 func (t Timings) Total() time.Duration { return t.IQGen + t.FFTQAM + t.FEC + t.Scramble }
 
-// add accumulates another pass's stage timings. The PhaseSearch paths
-// use it so a searched Result reports the time of every candidate it
-// evaluated, keeping Timings consistent with the per-candidate stage
-// histograms.
+// add accumulates another pass's stage timings. The PhaseSearch uses it
+// so a searched Result reports the time of every candidate it evaluated,
+// keeping Timings consistent with the per-candidate stage histograms.
 func (t *Timings) add(o Timings) {
 	t.IQGen += o.IQGen
 	t.FFTQAM += o.FFTQAM
@@ -237,11 +227,10 @@ type Result struct {
 
 // Synthesizer converts Bluetooth air bits into WiFi PSDUs.
 //
-// A Synthesizer is not safe for concurrent use. The PhaseSearch candidate
-// evaluation parallelizes internally (see Options.SearchParallelism) over
-// private worker clones, so callers still treat the whole object as
-// single-threaded; for concurrent multi-packet workloads, use one
-// Synthesizer per goroutine (the root package's Pool does exactly that).
+// A Synthesizer is not safe for concurrent use and starts no goroutines:
+// the PhaseSearch evaluates its candidates one after another. For
+// concurrent multi-packet workloads, use one Synthesizer per goroutine
+// (the root package's Pool does exactly that).
 type Synthesizer struct {
 	opts         Options
 	mcs          wifi.MCS
@@ -262,11 +251,6 @@ type Synthesizer struct {
 	fitBody, fitX        []complex128
 	fitInter             [2][]byte
 	fitStarve, fitInband []bool
-
-	// workers are the PhaseSearch clones, parked in workerCh between
-	// groups. Built lazily on the first parallel search.
-	workers  []*Synthesizer
-	workerCh chan *Synthesizer
 
 	// pilotIBCache memoizes the in-band pilot waveform per (nsym,
 	// offset): it is data-independent, so audio streams reuse it.
@@ -317,9 +301,6 @@ func New(opts Options) (*Synthesizer, error) {
 	}
 	if opts.GFSK.SampleRate != wifi.SampleRate {
 		return nil, fmt.Errorf("core: GFSK sample rate %g must match WiFi's %g", opts.GFSK.SampleRate, wifi.SampleRate)
-	}
-	if opts.SearchParallelism < 0 {
-		return nil, fmt.Errorf("core: search parallelism %d is negative", opts.SearchParallelism)
 	}
 	mcs, err := wifi.LookupMCS(opts.Mode.MCS())
 	if err != nil {
@@ -883,6 +864,18 @@ func (s *Synthesizer) SynthesizePhase(basebandPhase []float64, btMHz float64) (*
 	return res, err
 }
 
+// The candidate grid of the rehearsal search: four phase quadrants per
+// extra-lead group, further groups only when the previous ones still
+// rehearse dirty (see synthesizePhase).
+var (
+	searchRotations = []float64{0, math.Pi / 2, math.Pi, 3 * math.Pi / 2}
+	searchLeads     = []int{0, 1, 2}
+)
+
+// searchCleanMargin is the decision-margin threshold above which a
+// zero-mismatch candidate ends the search immediately.
+const searchCleanMargin = 0.2
+
 // synthesizePhase is SynthesizePhase behind the telemetry span; ctx
 // carries the registry and the enclosing span for stage spans.
 func (s *Synthesizer) synthesizePhase(ctx context.Context, basebandPhase []float64, btMHz float64) (*Result, error) {
@@ -905,9 +898,6 @@ func (s *Synthesizer) synthesizePhase(ctx context.Context, basebandPhase []float
 	// align with the OFDM symbol corruption pattern (the alignment cycles
 	// every lcm(20, 72) samples). Extra leads are only tried when the
 	// plain rotations still rehearse dirty.
-	if s.searchParallelism() > 1 {
-		return s.searchParallel(ctx, basebandPhase, btMHz)
-	}
 	var best *Result
 	var searched Timings // all candidates' stage time, reported on the winner
 	bestMis, bestMargin := int(^uint(0)>>1), math.Inf(-1)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -582,5 +583,44 @@ func TestPSDULenForSymbols(t *testing.T) {
 	// 2080−22 = 2058 → 257 bytes + 2 pad bits.
 	if l != 257 || pad != 2 {
 		t.Fatalf("real-time layout (%d,%d), want (257,2)", l, pad)
+	}
+}
+
+// A synthesizer keeps its search scratch (FFT buffers, FIR state, pilot
+// cache, rehearsal receiver) across packets, and none of it may leak from
+// one packet into the next: synthesizing the same packet twice, around a
+// different packet, must reproduce the first result exactly.
+func TestSearchStatelessAcrossPackets(t *testing.T) {
+	s, err := New(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := bt.Device{LAP: 0x123456, UAP: 0x9A}
+	pktA := &bt.Packet{Type: bt.DM1, LTAddr: 1, Payload: []byte("stateless-a")}
+	pktB := &bt.Packet{Type: bt.DM1, LTAddr: 1, SEQN: 1, Payload: []byte("stateless-b")}
+	airA, err := pktA.AirBits(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	airB, err := pktB.AirBits(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := s.Synthesize(airA, 2426)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Synthesize(airB, 2426); err != nil {
+		t.Fatal(err)
+	}
+	again, err := s.Synthesize(airA, 2426)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.PSDU, again.PSDU) {
+		t.Error("same packet synthesized twice produced different PSDUs")
+	}
+	if first.RehearsalMismatches != again.RehearsalMismatches {
+		t.Errorf("RehearsalMismatches drifted: %d then %d", first.RehearsalMismatches, again.RehearsalMismatches)
 	}
 }

@@ -259,7 +259,7 @@ func A2DPSoak(cfg A2DPSoakConfig) (*A2DPSoakResult, error) {
 	reg := bluefi.NewTelemetry()
 	rec := flight.New(reg, 0)
 	rec.Attach(reg)
-	pool, err := bluefi.NewPool(bluefi.Options{Mode: cfg.Mode, Telemetry: reg, EDF: true}, cfg.Workers)
+	pool, err := bluefi.NewPool(bluefi.Options{Mode: cfg.Mode, Telemetry: reg}, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -385,7 +385,6 @@ func a2dpStorm(cfg A2DPSoakConfig, knee int) (*A2DPStormOutcome, error) {
 	pool, err := bluefi.NewPool(bluefi.Options{
 		Mode:      cfg.Mode,
 		Telemetry: reg,
-		EDF:       true,
 		Faults:    &plan,
 		Retry:     bluefi.RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond},
 	}, cfg.Workers)

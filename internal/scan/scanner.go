@@ -315,7 +315,6 @@ func (s *Scanner) SweepParallel(caps []Capture) []Outcome {
 	base := s.seq
 	var wg sync.WaitGroup
 	for i := range caps {
-		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -21,8 +21,7 @@ import (
 // All Pool methods are safe for concurrent use. Synthesis is
 // deterministic per job: a job's PSDU does not depend on which worker ran
 // it or on what else is in flight (every worker targets the same chip
-// seed policy, and the parallel rehearsal search inside each Synthesizer
-// is order-independent by construction).
+// seed policy, and each Synthesizer searches its candidates serially).
 //
 // The pool is fault-tolerant: a panicking job is converted into that
 // job's *PanicError and the worker respawns, per-job deadlines and
@@ -85,9 +84,11 @@ const (
 	Block OverloadPolicy = iota
 	// Reject fails the new job immediately with ErrPoolOverloaded.
 	Reject
-	// DropOldest evicts the oldest queued job (failing it with
-	// ErrJobShed) to admit the new one — freshest-first load shedding,
-	// what a live audio stream wants.
+	// DropOldest evicts the least-urgent queued job (failing it with
+	// ErrJobShed) to admit the new one: the latest deadline, ties going
+	// to the oldest admission. Deadline-less work therefore sheds its
+	// oldest job — freshest-first load shedding — while deadline-stamped
+	// segments shed the one with the most slack to spare.
 	DropOldest
 )
 
@@ -128,9 +129,9 @@ func retryable(err error) bool {
 	return errors.Is(err, ErrJobTimeout) || errors.As(err, &pe) || faults.IsInjected(err)
 }
 
-// noDeadline marks a job submitted without a slot deadline: under EDF
-// ordering it sorts after every deadline-bearing job, so batch work
-// yields to real-time audio segments.
+// noDeadline marks a job submitted without a slot deadline: it sorts
+// after every deadline-bearing job, so batch work yields to real-time
+// audio segments.
 const noDeadline = ^uint64(0)
 
 // poolJob is one queued unit of work. fn must confine its writes to
@@ -142,16 +143,15 @@ type poolJob struct {
 	done     chan struct{}
 	err      error  // written once, before done is closed
 	deadline uint64 // slot-clock deadline; noDeadline for batch work
-	seq      uint64 // admission order, assigned by push; the EDF tie-break
 }
 
 // jobQueue is the pool's bounded job buffer with an overload policy. It
 // replaces the unbuffered jobs channel so that load shedding, typed
-// closed-pool errors and graceful drain are expressible. Order is FIFO,
-// or earliest-deadline-first when Options.EDF is set (DESIGN.md §14) —
-// then ties break on admission sequence, DropOldest evicts the
-// latest-deadline job instead of the head, and deadline-less jobs sort
-// last.
+// closed-pool errors and graceful drain are expressible. Order is
+// earliest-deadline-first (DESIGN.md §14.3). items is kept in admission
+// order, so every scan breaks deadline ties on admission: pop takes the
+// oldest of the earliest deadlines, and deadline-less jobs, which all
+// carry noDeadline, pop FIFO after every deadline-stamped one.
 type jobQueue struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -159,26 +159,15 @@ type jobQueue struct {
 	items  []*poolJob // guarded by mu
 	max    int
 	policy OverloadPolicy
-	edf    bool
-	seq    uint64 // guarded by mu; admission counter
-	closed bool   // guarded by mu
+	closed bool // guarded by mu
 
 	met *poolMetrics
 }
 
-func newJobQueue(max int, policy OverloadPolicy, edf bool, met *poolMetrics) *jobQueue {
-	q := &jobQueue{max: max, policy: policy, edf: edf, met: met}
+func newJobQueue(max int, policy OverloadPolicy, met *poolMetrics) *jobQueue {
+	q := &jobQueue{max: max, policy: policy, met: met}
 	q.cond = sync.NewCond(&q.mu)
 	return q
-}
-
-// edfWorse orders jobs for eviction: the job with the later deadline
-// (then later admission) is the least urgent.
-func edfWorse(a, b *poolJob) bool {
-	if a.deadline != b.deadline {
-		return a.deadline > b.deadline
-	}
-	return a.seq > b.seq
 }
 
 // push enqueues a job, applying the overload policy when the queue is
@@ -200,15 +189,13 @@ func (q *jobQueue) push(j *poolJob) error {
 			q.met.rejected()
 			return ErrPoolOverloaded
 		case DropOldest:
-			// FIFO evicts the head; EDF evicts the least-urgent job —
-			// shedding the frame with the most slack to spare, never the
-			// one closest to its slot.
+			// Evict the least-urgent job: the latest deadline, the
+			// oldest admission among ties — never the frame closest to
+			// its slot.
 			victim := 0
-			if q.edf {
-				for i := 1; i < len(q.items); i++ {
-					if edfWorse(q.items[i], q.items[victim]) {
-						victim = i
-					}
+			for i := 1; i < len(q.items); i++ {
+				if q.items[i].deadline > q.items[victim].deadline {
+					victim = i
 				}
 			}
 			old := q.items[victim]
@@ -220,8 +207,6 @@ func (q *jobQueue) push(j *poolJob) error {
 			q.cond.Wait()
 		}
 	}
-	j.seq = q.seq
-	q.seq++
 	q.items = append(q.items, j)
 	q.met.enqueued()
 	q.cond.Broadcast()
@@ -239,15 +224,13 @@ func (q *jobQueue) pop() *poolJob {
 	if len(q.items) == 0 {
 		return nil
 	}
-	// FIFO takes the head; EDF scans for the earliest (deadline, seq).
-	// The queue is small and bounded, so the linear scan beats heap
-	// bookkeeping and keeps eviction-by-index trivial.
+	// Scan for the earliest (deadline, admission). The queue is small
+	// and bounded, so the linear scan beats heap bookkeeping and keeps
+	// eviction-by-index trivial.
 	pick := 0
-	if q.edf {
-		for i := 1; i < len(q.items); i++ {
-			if edfWorse(q.items[pick], q.items[i]) {
-				pick = i
-			}
+	for i := 1; i < len(q.items); i++ {
+		if q.items[i].deadline < q.items[pick].deadline {
+			pick = i
 		}
 	}
 	j := q.items[pick]
@@ -420,7 +403,7 @@ func NewPool(opts Options, n int) (*Pool, error) {
 		depth = 4 * n
 	}
 	p := &Pool{
-		q:      newJobQueue(depth, opts.Overload, opts.EDF, met),
+		q:      newJobQueue(depth, opts.Overload, met),
 		opts:   opts,
 		met:    met,
 		obsCtx: obs.WithRegistry(context.Background(), opts.Telemetry),
@@ -512,14 +495,14 @@ func (p *Pool) tryOne(deadline uint64, fn func(*Synthesizer) error) error {
 }
 
 // poolDo runs fn on a pool worker under the timeout and retry policy
-// and returns its value; the job carries no slot deadline, so under EDF
-// ordering it yields to deadline-stamped work.
+// and returns its value; the job carries no slot deadline, so it yields
+// to deadline-stamped work.
 func poolDo[T any](p *Pool, fn func(*Synthesizer) (T, error)) (T, error) {
 	return poolDoDeadline(p, noDeadline, fn)
 }
 
-// poolDoDeadline is poolDo with a slot-clock deadline: under
-// Options.EDF the queue services the earliest deadline first. Each
+// poolDoDeadline is poolDo with a slot-clock deadline: the queue
+// services the earliest deadline first. Each
 // attempt writes into an attempt-local cell, so a timed-out attempt
 // finishing late can never race the winner.
 func poolDoDeadline[T any](p *Pool, deadline uint64, fn func(*Synthesizer) (T, error)) (T, error) {
@@ -691,7 +674,6 @@ func (p *Pool) SynthesizeBatch(jobs []BatchJob) []BatchResult {
 	results := make([]BatchResult, len(jobs))
 	var wg sync.WaitGroup
 	for i := range jobs {
-		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -31,9 +31,8 @@ import (
 //     ship floor and allocates drops by weighted max-min fairness, so a
 //     struggling session borrows headroom without starving anyone below
 //     their weighted share.
-//   - EDF job scheduling: with Options.EDF the pool runs whichever
-//     session's segment is closest to its 625 µs slot, not whichever
-//     was submitted first.
+//   - EDF job scheduling: the pool runs whichever session's segment is
+//     closest to its 625 µs slot, not whichever was submitted first.
 //
 // The manager is goroutine-free: admission, promotion and eviction all
 // run on the caller, so it adds nothing for the leak checker to track.
@@ -182,8 +181,8 @@ type SessionManager struct {
 }
 
 // NewSessionManager builds a session coordination plane over the pool.
-// The manager shares the pool's telemetry registry; pair it with
-// Options.EDF so admitted sessions also get deadline-ordered service.
+// The manager shares the pool's telemetry registry, and admitted sessions
+// get the pool's deadline-ordered service.
 func (p *Pool) NewSessionManager(cfg SessionManagerConfig) (*SessionManager, error) {
 	if p.isClosed() {
 		return nil, ErrPoolClosed

@@ -29,7 +29,7 @@ func lightAudio(lap uint32) AudioConfig {
 
 func TestSessionManagerAdmitSendEvict(t *testing.T) {
 	reg := NewTelemetry()
-	pool, err := NewPool(Options{Mode: RealTime, Telemetry: reg, EDF: true}, 2)
+	pool, err := NewPool(Options{Mode: RealTime, Telemetry: reg}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestSessionManagerAdmitSendEvict(t *testing.T) {
 }
 
 func TestSessionManagerValidation(t *testing.T) {
-	pool, err := NewPool(Options{Mode: RealTime, EDF: true}, 1)
+	pool, err := NewPool(Options{Mode: RealTime}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestSessionManagerValidation(t *testing.T) {
 // soak. The knee must exist, sit past at least one admitted session,
 // and be sticky: the session after a rejection is rejected too.
 func TestSessionManagerAdmissionKnee(t *testing.T) {
-	pool, err := NewPool(Options{Mode: RealTime, EDF: true}, 1)
+	pool, err := NewPool(Options{Mode: RealTime}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestSessionManagerAdmissionKnee(t *testing.T) {
 }
 
 func TestSessionManagerQueuePromotion(t *testing.T) {
-	pool, err := NewPool(Options{Mode: RealTime, EDF: true}, 1)
+	pool, err := NewPool(Options{Mode: RealTime}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestSessionManagerQueuePromotion(t *testing.T) {
 
 func TestSessionSLOSpecs(t *testing.T) {
 	reg := NewTelemetry()
-	pool, err := NewPool(Options{Mode: RealTime, Telemetry: reg, EDF: true}, 1)
+	pool, err := NewPool(Options{Mode: RealTime, Telemetry: reg}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,16 +342,16 @@ func TestSessionSLOSpecs(t *testing.T) {
 	}
 }
 
-// TestJobQueueEDF pins the pool-level EDF contract: pops come out
+// TestJobQueueEDF pins the pool queue's EDF contract: pops come out
 // earliest-deadline-first with deadline-less jobs last, and DropOldest
-// under EDF evicts the job with the most slack to spare.
+// evicts the job with the most slack to spare.
 func TestJobQueueEDF(t *testing.T) {
 	mkJob := func(deadline uint64) *poolJob {
 		return &poolJob{done: make(chan struct{}), deadline: deadline}
 	}
 
 	t.Run("PopOrder", func(t *testing.T) {
-		q := newJobQueue(4, Reject, true, nil)
+		q := newJobQueue(4, Reject, nil)
 		jobs := []*poolJob{mkJob(30), mkJob(noDeadline), mkJob(10), mkJob(20)}
 		for _, j := range jobs {
 			if err := q.push(j); err != nil {
@@ -367,7 +367,7 @@ func TestJobQueueEDF(t *testing.T) {
 	})
 
 	t.Run("FIFOWithinDeadline", func(t *testing.T) {
-		q := newJobQueue(3, Reject, true, nil)
+		q := newJobQueue(3, Reject, nil)
 		a, b := mkJob(10), mkJob(10)
 		if err := q.push(a); err != nil {
 			t.Fatal(err)
@@ -381,7 +381,7 @@ func TestJobQueueEDF(t *testing.T) {
 	})
 
 	t.Run("DropOldestEvictsMostSlack", func(t *testing.T) {
-		q := newJobQueue(2, DropOldest, true, nil)
+		q := newJobQueue(2, DropOldest, nil)
 		slack, tight := mkJob(100), mkJob(5)
 		if err := q.push(slack); err != nil {
 			t.Fatal(err)
@@ -421,7 +421,7 @@ func FuzzSessionAdmit(f *testing.F) {
 	f.Add("w", math.Inf(1), 200, 48000, uint8(5))
 	f.Add("knee", 2.5, 8, 32000, uint8(3))
 	f.Fuzz(func(t *testing.T, id string, weight float64, frames int, rate int, pt uint8) {
-		pool, err := NewPool(Options{Mode: RealTime, EDF: true}, 1)
+		pool, err := NewPool(Options{Mode: RealTime}, 1)
 		if err != nil {
 			t.Skip("pool unavailable")
 		}
