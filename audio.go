@@ -447,7 +447,6 @@ func (a *AudioStream) applyDecision(dec a2dp.Decision) {
 func (a *AudioStream) synthesizeScheduled(syn *Synthesizer, sp *a2dp.ScheduledPacket) (*AudioTransmission, time.Duration, error) {
 	_, span := obs.StartSpan(a.obsCtx, "audio.segment")
 	var res *core.Result
-	var spent core.Timings // across re-slot attempts; reported on the winner
 	for attempt := 0; ; attempt++ {
 		air, err := sp.Packet.AirBits(bt.Device(a.dev))
 		if err != nil {
@@ -459,16 +458,11 @@ func (a *AudioStream) synthesizeScheduled(syn *Synthesizer, sp *a2dp.ScheduledPa
 			span.End()
 			return nil, 0, err
 		}
-		spent.IQGen += res.Timings.IQGen
-		spent.FFTQAM += res.Timings.FFTQAM
-		spent.FEC += res.Timings.FEC
-		spent.Scramble += res.Timings.Scramble
 		if res.RehearsalMismatches <= 4 || attempt >= 3 {
 			break
 		}
 		sp = a.sched.Reslot(sp)
 	}
-	res.Timings = spent
 	// Deadline slack: how much of the slot budget (packet slots × 625 µs)
 	// the rehearsal-gated synthesis left unused. Negative means the frame
 	// would have missed its slot on a live link. An injected latency

@@ -470,14 +470,6 @@ type AltBeacon = beacon.AltBeacon
 // frequency (paper §2.6).
 type ChannelPlan = core.ChannelPlan
 
-// Timings breaks down where one packet's synthesis time went (§4.8).
-type Timings = core.Timings
-
-// Timings returns the packet's per-stage synthesis timing breakdown.
-// With Options.Telemetry attached, the same durations also populate the
-// bluefi_core_stage_seconds histograms, so the two views always agree.
-func (p *Packet) Timings() Timings { return p.res.Timings }
-
 // Waveform returns a copy of the predicted over-the-air IQ waveform at
 // 20 Msps, centered on the WiFi channel — what an SDR capturing the
 // frame would record before noise. External receive rigs feed it

@@ -19,7 +19,6 @@ import (
 	"bluefi/internal/core"
 	"bluefi/internal/eval"
 	"bluefi/internal/gfsk"
-	"bluefi/internal/obs"
 )
 
 // benchResult is one row of the JSON snapshot.
@@ -32,10 +31,10 @@ type benchResult struct {
 	BytesPerOp  int64   `json:"bytesPerOp"`
 }
 
-// stageRow is one per-stage timing entry, sourced from the telemetry
-// registry rather than hand-threaded Timings structs — the two agree by
-// construction (the histograms and Result.Timings share one span
-// measurement), and the registry also counts every search candidate.
+// stageRow is one per-stage timing entry of the §4.8 scenario, read from
+// the telemetry registry by eval.Sec48Timings. Stage "synth" is the
+// whole core.synth span, so the unspanned share is synth minus the
+// other stages of the same (mode, packet).
 type stageRow struct {
 	Mode    string  `json:"mode"`
 	Packet  string  `json:"packet"`
@@ -71,13 +70,9 @@ func record(out *benchSnapshot, name string, fn func(b *testing.B)) {
 // of a DM packet, one synthesizer per goroutine.
 func sec48Bench(mode core.Mode, payloadLen int, pt bt.PacketType, parallel bool) func(b *testing.B) {
 	return func(b *testing.B) {
-		opts := core.DefaultOptions()
-		opts.Mode = mode
-		opts.GFSK = gfsk.BRConfig()
-		opts.PSDUOnly = true
-		opts.DynamicScale = false
+		opts := eval.Sec48Options(mode)
 		pkt := &bt.Packet{Type: pt, LTAddr: 1, Payload: make([]byte, payloadLen)}
-		air, err := pkt.AirBits(bt.Device{LAP: 0x123456, UAP: 0x9A})
+		air, err := pkt.AirBits(eval.Sec48Device)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -91,7 +86,7 @@ func sec48Bench(mode core.Mode, payloadLen int, pt bt.PacketType, parallel bool)
 					return
 				}
 				for pb.Next() {
-					if _, err := s.Synthesize(air, 2426); err != nil {
+					if _, err := s.Synthesize(air, eval.Sec48FrequencyMHz); err != nil {
 						b.Error(err)
 						return
 					}
@@ -104,7 +99,7 @@ func sec48Bench(mode core.Mode, payloadLen int, pt bt.PacketType, parallel bool)
 			b.Fatal(err)
 		}
 		for i := 0; i < b.N; i++ {
-			if _, err := s.Synthesize(air, 2426); err != nil {
+			if _, err := s.Synthesize(air, eval.Sec48FrequencyMHz); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -189,65 +184,27 @@ func poolBeaconBench() func(b *testing.B) {
 	}
 }
 
-// stageBreakdown runs the §4.8 timing scenario with a telemetry registry
-// attached and reads the per-stage breakdown back out of the
-// bluefi_core_stage_seconds histograms.
-func stageBreakdown(iterations int) ([]stageRow, error) {
+// stageRows flattens §4.8 timing results into snapshot rows: one
+// "synth" row per (mode, packet), then one row per stage.
+func stageRows(results []eval.TimingResult) []stageRow {
 	var rows []stageRow
-	for _, mode := range []core.Mode{core.Quality, core.RealTime} {
-		for _, pc := range []struct {
-			name       string
-			pt         bt.PacketType
-			payloadLen int
-		}{
-			{"1-slot (DM1)", bt.DM1, 17},
-			{"5-slot (DM5)", bt.DM5, 224},
-		} {
-			reg := obs.NewRegistry()
-			opts := core.DefaultOptions()
-			opts.Mode = mode
-			opts.GFSK = gfsk.BRConfig()
-			opts.PSDUOnly = true
-			opts.DynamicScale = false
-			opts.Telemetry = reg
-			s, err := core.New(opts)
-			if err != nil {
-				return nil, err
+	for _, r := range results {
+		for _, h := range append([]eval.HistogramTotal{r.Synth}, r.Stages...) {
+			var mean time.Duration
+			if h.Count > 0 {
+				mean = h.Sum / time.Duration(h.Count)
 			}
-			pkt := &bt.Packet{Type: pc.pt, LTAddr: 1, Payload: make([]byte, pc.payloadLen)}
-			for i := 0; i < iterations; i++ {
-				pkt.Clock = uint32(4 * i)
-				air, err := pkt.AirBits(bt.Device{LAP: 0x123456, UAP: 0x9A})
-				if err != nil {
-					return nil, err
-				}
-				if _, err := s.Synthesize(air, 2426); err != nil {
-					return nil, err
-				}
-			}
-			for _, fam := range reg.Snapshot().Families {
-				if fam.Name != "bluefi_core_stage_seconds" {
-					continue
-				}
-				for _, m := range fam.Metrics {
-					for _, l := range m.Labels {
-						if l.Key != "stage" || m.Count == 0 {
-							continue
-						}
-						rows = append(rows, stageRow{
-							Mode:    mode.String(),
-							Packet:  pc.name,
-							Stage:   l.Value,
-							Count:   m.Count,
-							MeanNs:  m.Sum * 1e9 / float64(m.Count),
-							TotalNs: m.Sum * 1e9,
-						})
-					}
-				}
-			}
+			rows = append(rows, stageRow{
+				Mode:    r.Mode,
+				Packet:  r.Packet,
+				Stage:   h.Name,
+				Count:   h.Count,
+				MeanNs:  float64(mean.Nanoseconds()),
+				TotalNs: float64(h.Sum.Nanoseconds()),
+			})
 		}
 	}
-	return rows, nil
+	return rows
 }
 
 // allocGateTolerance is how far sec48 allocs/op may drift above the
@@ -325,13 +282,13 @@ func runBenchJSON(path string) error {
 		record(snap, "pool/beacon-batch"+tag, poolBeaconBench())
 	}
 
-	rows, err := stageBreakdown(10)
+	timings, err := eval.Sec48Timings(10)
 	if err != nil {
 		return err
 	}
-	snap.Stages = rows
+	snap.Stages = stageRows(timings)
 	fmt.Printf("stage breakdown (telemetry-sourced, 10 iterations):\n")
-	for _, r := range rows {
+	for _, r := range snap.Stages {
 		fmt.Printf("  %-10s %-14s %-9s %12.0f ns mean (n=%d)\n", r.Mode, r.Packet, r.Stage, r.MeanNs, r.Count)
 	}
 

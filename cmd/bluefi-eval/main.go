@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"bluefi/internal/chip"
@@ -28,7 +29,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 5b, 5c, 6, 7a, 7b, 7c, 8, 9, 10, timing, all")
+	fig := flag.String("fig", "all", "comma-separated figures to regenerate: "+strings.Join(figNames, ", ")+", all")
 	n := flag.Int("n", 0, "override per-point sample count (0 = default)")
 	benchJSON := flag.Bool("bench-json", false, "run the benchmark suite and write a BENCH_*.json snapshot instead of figures")
 	benchOut := flag.String("bench-out", "BENCH_eval.json", "output path for -bench-json")
@@ -49,6 +50,12 @@ func main() {
 	a2dpSoak := flag.Bool("a2dp-soak", false, "run the multi-session A2DP capacity soak: ramp sessions to the admission knee, gate on delivery below it and EDF-vs-FIFO slack, and append the capacity curve to -bench-out")
 	a2dpMinSessions := flag.Int("a2dp-min-sessions", 3, "minimum sessions the -a2dp-soak knee (and the storm's at-floor count) must sustain")
 	flag.Parse()
+
+	want, err := parseFigs(*fig)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bluefi-eval: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *a2dpSoak {
 		if err := runA2DPSoak(*benchOut, *flightDir, *a2dpMinSessions); err != nil {
@@ -129,13 +136,8 @@ func main() {
 		return
 	}
 
-	want := map[string]bool{}
-	for _, f := range strings.Split(*fig, ",") {
-		want[strings.TrimSpace(f)] = true
-	}
-	all := want["all"]
 	run := func(name string, f func() error) {
-		if !all && !want[name] {
+		if !want[name] {
 			return
 		}
 		if err := f(); err != nil {
@@ -278,4 +280,28 @@ func main() {
 		fmt.Print(eval.FormatTimings(res))
 		return nil
 	})
+}
+
+// figNames are the figures -fig accepts, in the order they run.
+var figNames = []string{"5b", "5c", "6", "7a", "7b", "7c", "8", "9", "10", "timing"}
+
+// parseFigs turns the comma-separated -fig value into the set of figures
+// to run; "all" selects every figure. An unknown name is an error that
+// lists the valid ones.
+func parseFigs(list string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, f := range strings.Split(list, ",") {
+		f = strings.TrimSpace(f)
+		switch {
+		case f == "all":
+			for _, name := range figNames {
+				want[name] = true
+			}
+		case slices.Contains(figNames, f):
+			want[f] = true
+		default:
+			return nil, fmt.Errorf("unknown -fig %q (valid: %s, all)", f, strings.Join(figNames, ", "))
+		}
+	}
+	return want, nil
 }

@@ -22,17 +22,8 @@ import (
 // plus an A2DP audio stream. It is the live counterpart of the figure
 // runs — point a Prometheus scraper (or curl) at it and watch the
 // stage histograms fill.
-//
-// bluefi_eval_core_timings_nanoseconds_total accumulates
-// Packet.Timings().Total() across the workload; the per-stage histogram
-// sums in bluefi_core_stage_seconds must stay within ±5% of it — the
-// consistency contract between the span-fed histograms and the absorbed
-// Timings plumbing.
 func runServe(addr string, workers int, flightDir string) error {
 	reg := bluefi.NewTelemetry()
-	timingsNS := reg.Counter("bluefi_eval_core_timings_nanoseconds_total",
-		"sum of Packet.Timings().Total() over the serve workload")
-
 	pool, err := bluefi.NewPool(bluefi.Options{Mode: bluefi.RealTime, Telemetry: reg}, workers)
 	if err != nil {
 		return err
@@ -92,13 +83,13 @@ func runServe(addr string, workers int, flightDir string) error {
 	})
 
 	//bluefi:goroutine live-workload generator behind -serve; runs for the process lifetime and dies with it
-	go serveWorkload(pool, stream, timingsNS)
+	go serveWorkload(pool, stream)
 	return http.Serve(ln, mux)
 }
 
 // serveWorkload loops forever: one mixed pooled batch plus one audio
-// Send per round, recording each packet's absorbed Timings total.
-func serveWorkload(pool *bluefi.Pool, stream *bluefi.AudioStream, timingsNS *bluefi.TelemetryCounter) {
+// Send per round.
+func serveWorkload(pool *bluefi.Pool, stream *bluefi.AudioStream) {
 	pcm := make([][]float64, stream.Channels())
 	for round := 0; ; round++ {
 		ib := bluefi.IBeacon{Major: uint16(round)}
@@ -110,19 +101,11 @@ func serveWorkload(pool *bluefi.Pool, stream *bluefi.AudioStream, timingsNS *blu
 				BTChannel: 24,
 			}},
 		}
-		for _, res := range pool.SynthesizeBatch(jobs) {
-			if res.Err == nil {
-				timingsNS.Add(res.Packet.Timings().Total().Nanoseconds())
-			}
-		}
+		pool.SynthesizeBatch(jobs)
 		for ch := range pcm {
 			pcm[ch] = tonePCM(stream.SamplesPerSend(), round*stream.SamplesPerSend())
 		}
-		if txs, err := stream.Send(pcm); err == nil {
-			for _, tx := range txs {
-				timingsNS.Add(tx.Packet.Timings().Total().Nanoseconds())
-			}
-		}
+		_, _ = stream.Send(pcm)
 	}
 }
 

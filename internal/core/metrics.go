@@ -11,9 +11,11 @@ import (
 // no-ops after one branch, so instrumentation sites never check a flag
 // and a Synthesizer built without Options.Telemetry pays nothing.
 //
-// The per-stage histograms record the same durations that fill
-// Result.Timings (both come from the same span measurements), so the
-// exported stage sums always agree with the Timings totals callers see.
+// The stage histograms partition part of the synth histogram: every
+// stage span runs inside its call's core.synth span, so per call the
+// stage sums never exceed the synth observation. The remainder is
+// unspanned work (GFSK shaping, precompensation, re-encoding, waveform
+// reconstruction, rehearsal).
 type coreMetrics struct {
 	stageIQGen    *obs.Histogram
 	stageFFTQAM   *obs.Histogram

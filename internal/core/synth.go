@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"bluefi/internal/bits"
 	"bluefi/internal/bt"
@@ -118,8 +117,9 @@ type Options struct {
 	PilotPrecompensation bool
 	// PSDUOnly skips predicted-waveform generation: Result.Waveform is
 	// nil and PhaseRMSE is zero. The paper's pipeline emits only the
-	// PSDU; this option makes the §4.8 timing comparison apples-to-apples
-	// and is what a driver integration wants on the hot path.
+	// PSDU, so PSDUOnly with a fixed scale (DynamicScale false) is the
+	// §4.8 timing configuration (eval.Sec48Options); it is also what a
+	// driver integration wants on the hot path.
 	PSDUOnly bool
 	// Telemetry, when non-nil, receives per-stage latency histograms,
 	// synthesis spans and rehearsal counters (see internal/obs). The
@@ -161,27 +161,6 @@ func DefaultOptions() Options {
 	}
 }
 
-// Timings breaks down where synthesis time goes (§4.8).
-type Timings struct {
-	IQGen    time.Duration // GFSK phase construction + CP design
-	FFTQAM   time.Duration // per-symbol FFT and constellation fitting
-	FEC      time.Duration // Viterbi or real-time inversion
-	Scramble time.Duration // descrambling and PSDU packing
-}
-
-// Total sums the per-stage timings.
-func (t Timings) Total() time.Duration { return t.IQGen + t.FFTQAM + t.FEC + t.Scramble }
-
-// add accumulates another pass's stage timings. The PhaseSearch uses it
-// so a searched Result reports the time of every candidate it evaluated,
-// keeping Timings consistent with the per-candidate stage histograms.
-func (t *Timings) add(o Timings) {
-	t.IQGen += o.IQGen
-	t.FFTQAM += o.FFTQAM
-	t.FEC += o.FEC
-	t.Scramble += o.Scramble
-}
-
 // Result is the outcome of synthesizing one Bluetooth packet.
 type Result struct {
 	// PSDU is the byte string to hand to the WiFi chip.
@@ -218,11 +197,6 @@ type Result struct {
 	// a clean link — callers with scheduling freedom (the audio path) can
 	// re-slot instead of transmitting a known-bad frame.
 	RehearsalMismatches int
-	// Timings records the per-stage execution time. With PhaseSearch it
-	// covers every candidate the search evaluated — where the packet's
-	// synthesis time actually went — matching the per-candidate
-	// bluefi_core_stage_seconds histograms by construction.
-	Timings Timings
 }
 
 // Synthesizer converts Bluetooth air bits into WiFi PSDUs.
@@ -328,7 +302,11 @@ func New(opts Options) (*Synthesizer, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Synthesizer{opts: opts, mcs: mcs, il: il, mapper: wifi.NewMapper(mcs.Modulation), plan: plan, tx: tx, mod: mod}
+	predistFIR, err := dsp.LowpassFIR(600e3, wifi.SampleRate, 101)
+	if err != nil {
+		return nil, err
+	}
+	s := &Synthesizer{opts: opts, mcs: mcs, il: il, mapper: wifi.NewMapper(mcs.Modulation), plan: plan, tx: tx, mod: mod, predistFIR: predistFIR}
 	s.fitBody = make([]complex128, wifi.FFTSize)
 	s.fitX = make([]complex128, wifi.FFTSize)
 	s.fitInter[0] = make([]byte, 0, mcs.NCBPS)
@@ -538,15 +516,12 @@ type synthPass struct {
 	dataWave []complex128   // modulated data field (no preamble)
 	flips    int
 	impFlips int
-	timings  Timings
 }
 
 // synthOnce runs the open-loop pipeline of §2.3–2.8 for a target phase.
-// The three pipeline stages are timed through obs spans — the measured
-// durations fill synthPass.timings (and so Result.Timings) whether or
-// not a registry is attached; with one, the same durations land in the
-// bluefi_core_stage_seconds histograms, keeping the two views in exact
-// agreement.
+// The three pipeline stages are timed through obs spans; with a registry
+// attached their durations land in the bluefi_core_stage_seconds
+// histograms.
 func (s *Synthesizer) synthOnce(ctx context.Context, target []float64, nsym int, offsetHz float64) (*synthPass, error) {
 	_, spIQ := obs.StartSpan(ctx, "core.iqgen")
 	design := DesignCP
@@ -593,7 +568,6 @@ func (s *Synthesizer) synthOnce(ctx context.Context, target []float64, nsym int,
 			return nil, err
 		}
 	}
-	p.timings = Timings{IQGen: dIQGen, FFTQAM: dFFTQAM, FEC: dFEC}
 	return p, nil
 }
 
@@ -602,13 +576,6 @@ func (s *Synthesizer) synthOnce(ctx context.Context, target []float64, nsym int,
 // Bluetooth channel filter, and subtracts it (damped) from the working
 // target.
 func (s *Synthesizer) predistort(theta, working []float64, dataWave []complex128) ([]float64, error) {
-	if s.predistFIR == nil {
-		fir, err := dsp.LowpassFIR(600e3, wifi.SampleRate, 101)
-		if err != nil {
-			return nil, err
-		}
-		s.predistFIR = fir
-	}
 	n := len(theta)
 	pred := make([]complex128, n)
 	copy(pred, dataWave[:min(n, len(dataWave))])
@@ -658,13 +625,6 @@ func cmplxPhase(v complex128) float64 { return math.Atan2(imag(v), real(v)) }
 // Im(p·e^{−jθ})/a. Pre-rotating the target by its negative cancels the
 // perturbation at the receiver.
 func (s *Synthesizer) precompensatePilots(theta, working []float64, nsym int, offsetHz float64) ([]float64, error) {
-	if s.predistFIR == nil {
-		fir, err := dsp.LowpassFIR(600e3, wifi.SampleRate, 101)
-		if err != nil {
-			return nil, err
-		}
-		s.predistFIR = fir
-	}
 	if s.pilotIBCache == nil {
 		s.pilotIBCache = make(map[pilotKey][]complex128)
 	}
@@ -722,13 +682,6 @@ func (s *Synthesizer) applyPilotCorrection(theta, working []float64, pIB []compl
 // filter. It is structural — no quantization involved — so subtracting it
 // pre-cancels most of the in-band residue the paper's §2.4 design leaves.
 func (s *Synthesizer) precompensateCP(theta, working []float64, offsetHz float64) ([]float64, error) {
-	if s.predistFIR == nil {
-		fir, err := dsp.LowpassFIR(600e3, wifi.SampleRate, 101)
-		if err != nil {
-			return nil, err
-		}
-		s.predistFIR = fir
-	}
 	thetaHat, err := DesignCP(theta, wifi.ShortGI)
 	if err != nil {
 		return nil, err
@@ -837,13 +790,18 @@ func (s *Synthesizer) Synthesize(airBits []byte, btMHz float64) (*Result, error)
 	if err := s.opts.Faults.SynthesisError(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	// The span opens before GFSK shaping so core.synth covers the whole
+	// call, phase construction included.
+	ctx, sp := obs.StartSpan(s.obsCtx, "core.synth", obs.L("mode", s.opts.Mode.String()))
 	g := s.opts.GFSK
 	g.CenterOffset = 0 // baseband; the offset is mixed in below
 	pkt, err := g.PhaseSignal(airBits)
-	if err != nil {
-		return nil, err
+	var res *Result
+	if err == nil {
+		res, err = s.synthesizePhase(ctx, pkt, btMHz)
 	}
-	return s.SynthesizePhase(pkt, btMHz)
+	s.endSynth(sp, res, err)
+	return res, err
 }
 
 // SynthesizePhase converts an arbitrary baseband Bluetooth phase
@@ -857,11 +815,17 @@ func (s *Synthesizer) SynthesizePhase(basebandPhase []float64, btMHz float64) (*
 	}
 	ctx, sp := obs.StartSpan(s.obsCtx, "core.synth", obs.L("mode", s.opts.Mode.String()))
 	res, err := s.synthesizePhase(ctx, basebandPhase, btMHz)
+	s.endSynth(sp, res, err)
+	return res, err
+}
+
+// endSynth closes a public call's core.synth span and records the
+// end-to-end latency of a successful synthesis.
+func (s *Synthesizer) endSynth(sp obs.Span, res *Result, err error) {
 	d := sp.End()
 	if err == nil {
 		s.met.observeSynth(d, res.RehearsalMismatches)
 	}
-	return res, err
 }
 
 // The candidate grid of the rehearsal search: four phase quadrants per
@@ -876,8 +840,9 @@ var (
 // zero-mismatch candidate ends the search immediately.
 const searchCleanMargin = 0.2
 
-// synthesizePhase is SynthesizePhase behind the telemetry span; ctx
-// carries the registry and the enclosing span for stage spans.
+// synthesizePhase is the body of Synthesize and SynthesizePhase behind
+// their core.synth span; ctx carries the registry and that span for the
+// stage spans.
 func (s *Synthesizer) synthesizePhase(ctx context.Context, basebandPhase []float64, btMHz float64) (*Result, error) {
 	if !s.opts.PhaseSearch || s.opts.PSDUOnly {
 		res, err := s.synthesizeShifted(ctx, basebandPhase, btMHz, 0, 0)
@@ -899,7 +864,6 @@ func (s *Synthesizer) synthesizePhase(ctx context.Context, basebandPhase []float
 	// every lcm(20, 72) samples). Extra leads are only tried when the
 	// plain rotations still rehearse dirty.
 	var best *Result
-	var searched Timings // all candidates' stage time, reported on the winner
 	bestMis, bestMargin := int(^uint(0)>>1), math.Inf(-1)
 	for _, extraLead := range searchLeads {
 		for _, rot := range searchRotations {
@@ -907,14 +871,12 @@ func (s *Synthesizer) synthesizePhase(ctx context.Context, basebandPhase []float
 			if err != nil {
 				return nil, err
 			}
-			searched.add(res.Timings)
 			mis, margin := s.rehearse(res, len(basebandPhase))
 			res.RehearsalMismatches = mis
 			if best == nil || mis < bestMis || (mis == bestMis && margin > bestMargin) {
 				best, bestMis, bestMargin = res, mis, margin
 			}
 			if mis == 0 && margin > searchCleanMargin {
-				best.Timings = searched
 				return best, nil // comfortably clean
 			}
 		}
@@ -922,7 +884,6 @@ func (s *Synthesizer) synthesizePhase(ctx context.Context, basebandPhase []float
 			break
 		}
 	}
-	best.Timings = searched
 	return best, nil
 }
 
@@ -1018,16 +979,11 @@ func (s *Synthesizer) synthesizeShifted(ctx context.Context, basebandPhase []flo
 		}
 	}
 	var pass *synthPass
-	var timings Timings
 	for it := 0; ; it++ {
 		pass, err = s.synthOnce(ctx, target, nsym, plan.OffsetHz)
 		if err != nil {
 			return nil, err
 		}
-		timings.IQGen += pass.timings.IQGen
-		timings.FFTQAM += pass.timings.FFTQAM
-		timings.FEC += pass.timings.FEC
-		timings.Scramble += pass.timings.Scramble
 		if it >= iterations {
 			break
 		}
@@ -1046,7 +1002,6 @@ func (s *Synthesizer) synthesizeShifted(ctx context.Context, basebandPhase []flo
 	if err != nil {
 		return nil, err
 	}
-	timings.Scramble += dScramble
 	s.met.observeScramble(dScramble)
 
 	// Predicted waveform: what the chip will emit for this PSDU
@@ -1070,7 +1025,6 @@ func (s *Synthesizer) synthesizeShifted(ctx context.Context, basebandPhase []flo
 		Waveform:       waveform,
 		DataStart:      s.tx.DataStart(),
 		GFSKStart:      lead,
-		Timings:        timings,
 	}
 
 	res.targetPhase = theta
@@ -1101,13 +1055,6 @@ func (s *Synthesizer) synthesizeShifted(ctx context.Context, basebandPhase []flo
 // Bluetooth channel and applying the nominal 600 kHz channel filter —
 // the fidelity a Bluetooth receiver actually experiences.
 func (s *Synthesizer) inbandPhaseRMSE(ideal, predicted []complex128, offsetHz float64) float64 {
-	if s.predistFIR == nil {
-		fir, err := dsp.LowpassFIR(600e3, wifi.SampleRate, 101)
-		if err != nil {
-			return 0
-		}
-		s.predistFIR = fir
-	}
 	a := dsp.GetComplex(len(ideal))
 	b := dsp.GetComplex(len(predicted))
 	aIB := dsp.GetComplex(len(ideal))

@@ -406,22 +406,6 @@ func TestMotherWeightsErasures(t *testing.T) {
 	}
 }
 
-func TestTimingsRecorded(t *testing.T) {
-	opts := DefaultOptions()
-	s, _ := New(opts)
-	res, err := s.Synthesize(beaconAirBits(t, 38), 2426)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tt := res.Timings
-	if tt.Total() <= 0 {
-		t.Fatal("no timing recorded")
-	}
-	if tt.FEC <= 0 || tt.FFTQAM <= 0 {
-		t.Fatalf("stage timings missing: %+v", tt)
-	}
-}
-
 func TestGFSKStartAlignment(t *testing.T) {
 	opts := DefaultOptions()
 	opts.GFSK = gfsk.BLEConfig()

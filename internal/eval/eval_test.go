@@ -298,18 +298,23 @@ func TestSec48TimingShape(t *testing.T) {
 	if len(res) != 4 {
 		t.Fatalf("%d results", len(res))
 	}
-	// FEC dominates quality mode (§4.8: "almost 100% of the execution
-	// time is spent on the FEC decoder").
 	for _, r := range res {
-		if r.Mode != "quality" {
-			continue
+		// The total is the measured core.synth span; the stage spans
+		// run inside it, so they can never sum past it.
+		if r.Total() <= 0 {
+			t.Errorf("%s %s: total %v, want > 0", r.Mode, r.Packet, r.Total())
 		}
-		if r.Breakdown.FEC < r.Breakdown.IQGen || r.Breakdown.FEC < r.Breakdown.Scramble {
-			t.Errorf("quality %s: FEC (%v) does not dominate", r.Packet, r.Breakdown.FEC)
+		if r.StageSum() > r.Synth.Sum {
+			t.Errorf("%s %s: stages sum to %v, above the synth total %v", r.Mode, r.Packet, r.StageSum(), r.Synth.Sum)
+		}
+		// FEC dominates quality mode (§4.8: "almost 100% of the
+		// execution time is spent on the FEC decoder").
+		if r.Mode == "quality" && (r.Stage("fec") < r.Stage("iqgen") || r.Stage("fec") < r.Stage("scramble")) {
+			t.Errorf("quality %s: FEC (%v) does not dominate", r.Packet, r.Stage("fec"))
 		}
 	}
 	// Real-time mode is much faster.
-	if sp := Speedup(res, "5-slot (DH5)"); sp < 2 {
+	if sp := Speedup(res, "5-slot (DM5)"); sp < 2 {
 		t.Errorf("real-time speedup %.1f×, want ≫1", sp)
 	}
 	t.Log("\n" + FormatTimings(res))

@@ -13,10 +13,13 @@ import (
 // the registry's bounded ring of recent spans.
 //
 // StartSpan always reads the clock and End always returns the measured
-// duration, registry or not — callers like core use the duration to fill
-// Result.Timings, which must work with telemetry disabled. Everything
-// else (context value, pprof labels, ring append) happens only when a
-// registry rides the context, so the disabled cost is two clock reads.
+// duration, registry or not — the span is its caller's one clock
+// reading. The audio path charges a segment's slot slack from its
+// audio.segment span and the fleet reports LatencySeconds from its
+// span, both with telemetry disabled; the pool's job-latency histogram
+// reuses pool.job's duration. Everything else (context value, pprof
+// labels, ring append) happens only when a registry rides the context,
+// so the disabled cost is two clock reads.
 
 // PprofLabelKey is the pprof label under which the active span's name is
 // visible in CPU profiles (`go tool pprof -tagfocus bluefi_span=...`).

@@ -10,7 +10,7 @@ import (
 
 // TestSpanDisabled: without a registry in the context, StartSpan returns
 // the same context and End still measures a real duration — the path
-// core's Timings depend on when telemetry is off.
+// audio slack and fleet LatencySeconds depend on when telemetry is off.
 func TestSpanDisabled(t *testing.T) {
 	ctx := context.Background()
 	nctx, sp := StartSpan(ctx, "core.iqgen")

@@ -222,26 +222,3 @@ func TestTelemetryAudioScheduler(t *testing.T) {
 		t.Error("real-time mode recorded no viterbi inversions")
 	}
 }
-
-// TestTelemetryPacketTimings: Packet.Timings must stay populated with
-// telemetry both absent and attached.
-func TestTelemetryPacketTimings(t *testing.T) {
-	for _, reg := range []*bluefi.Telemetry{nil, bluefi.NewTelemetry()} {
-		syn, err := bluefi.New(bluefi.Options{Mode: bluefi.RealTime, Telemetry: reg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ib := bluefi.IBeacon{Major: 1}
-		pkt, err := syn.Beacon(ib.ADStructures(), [6]byte{1, 2, 3, 4, 5, 6}, 38)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tt := pkt.Timings()
-		if tt.Total() <= 0 {
-			t.Errorf("telemetry=%v: Timings.Total() = %v, want > 0", reg != nil, tt.Total())
-		}
-		if tt.IQGen <= 0 || tt.FFTQAM <= 0 || tt.FEC <= 0 {
-			t.Errorf("telemetry=%v: stage timings not populated: %+v", reg != nil, tt)
-		}
-	}
-}
