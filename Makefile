@@ -103,6 +103,13 @@ bench-json:
 bench:
 	go test -bench . -benchmem ./...
 
+# Benchmark smoke: run every benchmark exactly once. Benchmarks compile
+# under `go test` but never execute there, so a bench that measures the
+# wrong configuration or panics would otherwise go unseen.
+.PHONY: bench-smoke
+bench-smoke:
+	go test -run '^$$' -bench . -benchtime 1x ./...
+
 # Telemetry overhead gate: an attached registry may cost at most 5% on
 # the §4.8 real-time synthesis ns/op versus telemetry disabled
 # (DESIGN.md §8's budget). Non-zero exit on regression.

@@ -89,7 +89,7 @@ func (s *Synthesizer) Ablation(airBits []byte, btMHz float64) ([]AblationWavefor
 	if err != nil {
 		return nil, err
 	}
-	wave, err := s.modulateSymbols(quantized)
+	wave, err := s.mod.Modulate(quantized)
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +99,7 @@ func (s *Synthesizer) Ablation(airBits []byte, btMHz float64) ([]AblationWavefor
 	if err != nil {
 		return nil, err
 	}
-	wave, err = s.modulateSymbols(piloted)
+	wave, err = s.mod.Modulate(piloted)
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +119,7 @@ func (s *Synthesizer) Ablation(airBits []byte, btMHz float64) ([]AblationWavefor
 	if err != nil {
 		return nil, err
 	}
-	wave, err = s.modulateSymbols(symbols)
+	wave, err = s.mod.Modulate(symbols)
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +143,7 @@ func (s *Synthesizer) Ablation(airBits []byte, btMHz float64) ([]AblationWavefor
 // otherwise they keep the unquantized FFT content (as an SDR could
 // transmit).
 func (s *Synthesizer) ablationSymbols(thetaHat []float64, nsym int, offsetHz float64, forcePilots bool) ([][]complex128, error) {
-	A := s.opts.ScaleFactor
+	A := scaleFactor
 	body := make([]complex128, wifi.FFTSize)
 	symbols := make([][]complex128, nsym)
 	for k := 0; k < nsym; k++ {
@@ -175,14 +175,4 @@ func (s *Synthesizer) ablationSymbols(thetaHat []float64, nsym int, offsetHz flo
 		symbols[k] = sym
 	}
 	return symbols, nil
-}
-
-// modulateSymbols runs the OFDM modulator with the synthesizer's
-// windowing setting.
-func (s *Synthesizer) modulateSymbols(symbols [][]complex128) ([]complex128, error) {
-	mod, err := wifi.NewOFDMModulator(wifi.ShortGI, s.opts.Windowing)
-	if err != nil {
-		return nil, err
-	}
-	return mod.Modulate(symbols)
 }

@@ -44,7 +44,12 @@ func (m Mode) MCS() int {
 	return 7 // 64-QAM rate 5/6
 }
 
-// Options configures a Synthesizer.
+// Options configures a Synthesizer. The pipeline itself is fixed: CP
+// design (§2.4) at the §2.5 scale factor A = 1/2, pilot
+// pre-compensation, FEC inversion (§2.7) and scrambling (§2.8), with
+// windowing and the mixed-format preamble always modelled. Only the
+// knobs a caller (or a reference configuration in the tests) needs are
+// options.
 type Options struct {
 	// Mode selects Quality (default) or RealTime synthesis.
 	Mode Mode
@@ -52,17 +57,9 @@ type Options struct {
 	WiFiChannel int
 	// ScramblerSeed must match the chip's (fixed or predicted) seed.
 	ScramblerSeed uint8
-	// Windowing mirrors COTS-chip per-symbol OFDM windowing (default
-	// true via New; setting it false models SDR output).
-	Windowing bool
-	// Preamble includes the mixed-format preamble in predicted waveforms.
-	Preamble bool
 	// GFSK carries the Bluetooth modulation parameters; CenterOffset is
 	// overwritten by frequency planning.
 	GFSK gfsk.Config
-	// ScaleFactor is the §2.5 amplitude A applied before the FFT
-	// (default 1/2, placing two-tone splits near grid magnitude 32≈7·5).
-	ScaleFactor float64
 	// DynamicScale searches a small per-symbol scale grid for the lowest
 	// in-band quantization residue instead of the fixed factor. The paper
 	// found dynamic scaling "negligible benefit, significantly higher
@@ -72,49 +69,17 @@ type Options struct {
 	// false for the paper's exact configuration (the §4.8 timing
 	// experiment does).
 	DynamicScale bool
-	// LeadSymbols of carrier-only padding precede the Bluetooth packet,
-	// keeping the pinned SERVICE-field symbol clear of it (default 2).
-	LeadSymbols int
-	// GlobalPhase rotates the whole target waveform (radians). Bluetooth
-	// receivers are phase-agnostic, but the rotation changes how the
-	// signal lands on the quantization lattice and against the fixed-
-	// phase pilots — a free parameter worth tuning (ablation benches).
-	GlobalPhase float64
 	// PhaseSearch synthesizes the packet at the four phase quadrants
 	// (identical lattice geometry, different pilot-relative phase) and
 	// keeps the one with the lowest in-band phase error — roughly 3×
 	// fewer packet errors at 4× synthesis cost in measurements. Enabled
 	// by DefaultOptions; disabled automatically with PSDUOnly (no
-	// waveform to score). An extension beyond the paper.
+	// waveform to score). An extension beyond the paper. It stays an
+	// option because its off value is a reference configuration: the
+	// full-waveform twin that TestPSDUOnlyMode compares PSDU-only output
+	// against, and the one-pass-per-call synthesis whose stage counts
+	// TestTelemetryStageConsistency checks.
 	PhaseSearch bool
-	// BlendCP selects the phase-averaging CP construction (DesignCPBlend)
-	// instead of the paper's piecewise copy (an ablation option).
-	BlendCP bool
-	// MinimizeJunk forces don't-care subcarriers (outside the Bluetooth
-	// band and its guard) to minimum-energy constellation points instead
-	// of their quantized FFT values. Those bins only reconstruct the
-	// high-frequency CP-glitch content a Bluetooth receiver filters away,
-	// while their symbol-to-symbol variation splatters into the Bluetooth
-	// band at OFDM boundaries — so starving them lowers in-band
-	// self-interference at no cost (an extension beyond the paper,
-	// ablated in the benches).
-	MinimizeJunk bool
-	// PredistortIterations runs closed-loop pre-distortion: after each
-	// synthesis pass the predicted chip waveform's in-band phase error is
-	// measured through a nominal receiver filter and subtracted from the
-	// target phase before the next pass. Measurements show it chases the
-	// quantization noise (which re-rolls each pass) without converging, so
-	// it is off by default (0 or −1); it remains available for the
-	// ablation benches. This is the global-optimization direction the
-	// paper leaves open (§2.2, A.3).
-	PredistortIterations int
-	// PilotPrecompensation subtracts the pilot tones' predicted in-band
-	// phase perturbation from the target phase before synthesis. Unlike
-	// full pre-distortion this correction is deterministic — the pilot
-	// waveform is fixed by the standard and independent of the data — so
-	// it cancels cleanly. Enabled by DefaultOptions; an extension beyond
-	// the paper, ablated in the benches.
-	PilotPrecompensation bool
 	// PSDUOnly skips predicted-waveform generation: Result.Waveform is
 	// nil and PhaseRMSE is zero. The paper's pipeline emits only the
 	// PSDU, so PSDUOnly with a fixed scale (DynamicScale false) is the
@@ -132,32 +97,37 @@ type Options struct {
 	// bits: with a nil (or non-firing) injector the output is
 	// bit-identical to an uninstrumented run.
 	Faults *faults.Injector
-	// CPPrecompensation likewise subtracts the CP-design construction's
-	// own in-band phase error (θ̂ vs θ through the nominal channel
-	// filter) from the target. The CP corruption is structural and fully
-	// known before any quantization, so this correction also cancels
-	// cleanly to first order. Enabled by DefaultOptions; an extension
-	// beyond the paper, ablated in the benches.
+	// CPPrecompensation subtracts the CP-design construction's own
+	// in-band phase error (θ̂ vs θ through the nominal channel filter)
+	// from the target. The CP corruption is structural and fully known
+	// before any quantization, so this correction cancels cleanly to
+	// first order. Enabled by DefaultOptions; an extension beyond the
+	// paper. It stays an option because its off value is a reference
+	// configuration: PSDUOnly swaps the exact correction for a sparse
+	// first-order one, so TestPSDUOnlyMode switches it off to compare
+	// PSDU-only and full-waveform output bit for bit.
 	CPPrecompensation bool
 }
 
+// scaleFactor is the §2.5 amplitude A applied before the FFT: 1/2
+// places two-tone splits near grid magnitude 32 ≈ 7·5.
+const scaleFactor = 0.5
+
+// leadSymbols of carrier-only padding precede the Bluetooth packet,
+// keeping the pinned SERVICE-field symbol clear of it.
+const leadSymbols = 2
+
 // DefaultOptions returns the configuration used throughout the paper's
-// evaluation: quality mode on WiFi channel 3 with SGI, windowing on.
+// evaluation: quality mode on WiFi channel 3 with SGI.
 func DefaultOptions() Options {
 	return Options{
-		Mode:          Quality,
-		WiFiChannel:   3,
-		ScramblerSeed: 71, // RTL8811AU's constant; AR9331 pinned to 1
-		Windowing:     true,
-		Preamble:      true,
-		GFSK:          gfsk.BRConfig(),
-		ScaleFactor:   0.5,
-		DynamicScale:  true,
-		LeadSymbols:   2,
-
-		PilotPrecompensation: true,
-		CPPrecompensation:    true,
-		PhaseSearch:          true,
+		Mode:              Quality,
+		WiFiChannel:       3,
+		ScramblerSeed:     71, // RTL8811AU's constant; AR9331 pinned to 1
+		GFSK:              gfsk.BRConfig(),
+		DynamicScale:      true,
+		CPPrecompensation: true,
+		PhaseSearch:       true,
 	}
 }
 
@@ -182,8 +152,7 @@ type Result struct {
 	// receiver actually experiences.
 	PhaseRMSE float64
 	// Waveform is the predicted chip output (what hardware will emit for
-	// PSDU under the same configuration), including the preamble when
-	// configured.
+	// PSDU under the same configuration), preamble included.
 	Waveform []complex128
 	// targetPhase keeps the offset-mixed target for rehearsal scoring.
 	targetPhase []float64
@@ -221,10 +190,10 @@ type Synthesizer struct {
 
 	// fitSymbols scratch: the time/frequency buffers, the two
 	// interleaved-bit candidate buffers of the per-symbol scale search,
-	// and the per-subcarrier band masks of the last offset.
-	fitBody, fitX        []complex128
-	fitInter             [2][]byte
-	fitStarve, fitInband []bool
+	// and the per-subcarrier in-band mask of the last offset.
+	fitBody, fitX []complex128
+	fitInter      [2][]byte
+	fitInband     []bool
 
 	// pilotIBCache memoizes the in-band pilot waveform per (nsym,
 	// offset): it is data-independent, so audio streams reuse it.
@@ -258,18 +227,6 @@ func New(opts Options) (*Synthesizer, error) {
 	if _, err := wifi.Channel2GHzCenter(opts.WiFiChannel); err != nil {
 		return nil, err
 	}
-	if opts.ScaleFactor == 0 {
-		opts.ScaleFactor = 0.5
-	}
-	if opts.ScaleFactor < 0.05 || opts.ScaleFactor > 1 {
-		return nil, fmt.Errorf("core: scale factor %g out of range", opts.ScaleFactor)
-	}
-	if opts.LeadSymbols == 0 {
-		opts.LeadSymbols = 2
-	}
-	if opts.LeadSymbols < 1 || opts.LeadSymbols > 16 {
-		return nil, fmt.Errorf("core: lead of %d symbols out of range", opts.LeadSymbols)
-	}
 	if opts.GFSK.SampleRate == 0 {
 		opts.GFSK = gfsk.BRConfig()
 	}
@@ -292,13 +249,13 @@ func New(opts Options) (*Synthesizer, error) {
 		MCS:           opts.Mode.MCS(),
 		ShortGI:       true,
 		ScramblerSeed: opts.ScramblerSeed,
-		Windowing:     opts.Windowing,
-		Preamble:      opts.Preamble,
+		Windowing:     true,
+		Preamble:      true,
 	})
 	if err != nil {
 		return nil, err
 	}
-	mod, err := wifi.NewOFDMModulator(wifi.ShortGI, opts.Windowing)
+	mod, err := wifi.NewOFDMModulator(wifi.ShortGI, true)
 	if err != nil {
 		return nil, err
 	}
@@ -311,8 +268,15 @@ func New(opts Options) (*Synthesizer, error) {
 	s.fitX = make([]complex128, wifi.FFTSize)
 	s.fitInter[0] = make([]byte, 0, mcs.NCBPS)
 	s.fitInter[1] = make([]byte, 0, mcs.NCBPS)
-	s.fitStarve = make([]bool, len(wifi.HTDataSubcarriers))
 	s.fitInband = make([]bool, len(wifi.HTDataSubcarriers))
+	if opts.PhaseSearch && !opts.PSDUOnly {
+		// The search's rehearsal receiver; its channel offset is set per
+		// packet.
+		s.rehearseRx, err = btrx.NewReceiver(btrx.Profile{Name: "rehearsal"}, 0, bt.Device{})
+		if err != nil {
+			return nil, err
+		}
+	}
 	s.met = newCoreMetrics(opts.Telemetry, opts.Mode)
 	s.vmet = viterbi.NewMetrics(opts.Telemetry)
 	s.obsCtx = obs.WithRegistry(context.Background(), opts.Telemetry)
@@ -352,7 +316,7 @@ func (s *Synthesizer) buildTargetPhase(airBits []byte, offsetHz float64) (theta 
 // slope before and after the packet. The mixing happens here — before CP
 // design — because offset mixing and CP insertion do not commute (§2.3).
 func (s *Synthesizer) layoutPhase(pkt []float64, offsetHz float64) (theta []float64, lead, nsym int) {
-	lead = (s.opts.LeadSymbols + s.extraLead) * symbolLen
+	lead = (leadSymbols + s.extraLead) * symbolLen
 	total := lead + len(pkt) + symbolLen // one tail symbol of slack
 	nsym = (total + symbolLen - 1) / symbolLen
 	theta = make([]float64, nsym*symbolLen)
@@ -367,29 +331,27 @@ func (s *Synthesizer) layoutPhase(pkt []float64, offsetHz float64) (theta []floa
 			theta[n] = pkt[len(pkt)-1]
 		}
 		// Carrier offset: a linear phase ramp over the whole frame, plus
-		// the free global rotation.
-		theta[n] += slope*float64(n) + s.opts.GlobalPhase + s.extraPhase
+		// the search's global rotation.
+		theta[n] += slope*float64(n) + s.extraPhase
 	}
 	return theta, lead, nsym
 }
 
 // fitSymbols converts the CP-designed phase signal into quantized
 // frequency-domain data points and the coded-bit targets they demap to.
-// offsetHz locates the Bluetooth band for the MinimizeJunk option.
+// offsetHz locates the Bluetooth band the scale search scores.
 func (s *Synthesizer) fitSymbols(thetaHat []float64, nsym int, offsetHz float64) (coded []byte, err error) {
 	nbpsc := s.mcs.Modulation.BitsPerSymbol()
 	coded = make([]byte, 0, nsym*s.mcs.NCBPS)
 	body, X := s.fitBody, s.fitX
-	single := [1]float64{s.opts.ScaleFactor}
+	single := [1]float64{scaleFactor}
 	scales := single[:]
 	if s.opts.DynamicScale {
 		scales = dynamicScales
 	}
-	starve, inband := s.fitStarve, s.fitInband
+	inband := s.fitInband
 	for i, sub := range wifi.HTDataSubcarriers {
-		w := SubcarrierWeight(sub, offsetHz)
-		inband[i] = w >= WeightAdjacent
-		starve[i] = s.opts.MinimizeJunk && w < WeightAdjacent
+		inband[i] = SubcarrierWeight(sub, offsetHz) >= WeightAdjacent
 	}
 	// Two candidate buffers serve the whole scale search: `cur` collects
 	// the candidate being built; on improvement it becomes `bestInter` and
@@ -409,12 +371,7 @@ func (s *Synthesizer) fitSymbols(thetaHat []float64, nsym int, offsetHz float64)
 			residue := 0.0
 			for i, sub := range wifi.HTDataSubcarriers {
 				v := X[dsp.SubcarrierBin(sub, wifi.FFTSize)] / GridScale
-				var q complex128
-				if starve[i] {
-					q = complex(sign(real(v)), sign(imag(v))) // minimum-energy point
-				} else {
-					q = s.mapper.Quantize(v)
-				}
+				q := s.mapper.Quantize(v)
 				if inband[i] {
 					// Only the Bluetooth-band fit matters: out-of-band
 					// residue is filtered at the receiver, and the scale
@@ -512,8 +469,8 @@ func (s *Synthesizer) invert(coded []byte, weights []float64, nsym int) ([]byte,
 type synthPass struct {
 	data     []byte         // scrambled-domain data bits
 	coded    []byte         // coded-bit targets
+	reCoded  []byte         // data re-encoded: what the chip will send
 	symbols  [][]complex128 // frequency-domain data symbols
-	dataWave []complex128   // modulated data field (no preamble)
 	flips    int
 	impFlips int
 }
@@ -524,11 +481,7 @@ type synthPass struct {
 // histograms.
 func (s *Synthesizer) synthOnce(ctx context.Context, target []float64, nsym int, offsetHz float64) (*synthPass, error) {
 	_, spIQ := obs.StartSpan(ctx, "core.iqgen")
-	design := DesignCP
-	if s.opts.BlendCP {
-		design = DesignCPBlend
-	}
-	thetaHat, err := design(target, wifi.ShortGI)
+	thetaHat, err := DesignCP(target, wifi.ShortGI)
 	dIQGen := spIQ.End()
 	if err != nil {
 		return nil, err
@@ -549,7 +502,7 @@ func (s *Synthesizer) synthOnce(ctx context.Context, target []float64, nsym int,
 	s.met.observePass(dIQGen, dFFTQAM, dFEC)
 
 	reCoded := wifi.EncodeRate(data, s.mcs.Rate)
-	p := &synthPass{data: data, coded: coded}
+	p := &synthPass{data: data, coded: coded, reCoded: reCoded}
 	for i := range coded {
 		if reCoded[i] != coded[i] {
 			p.flips++
@@ -563,55 +516,8 @@ func (s *Synthesizer) synthOnce(ctx context.Context, target []float64, nsym int,
 		if err != nil {
 			return nil, err
 		}
-		p.dataWave, err = s.mod.Modulate(p.symbols)
-		if err != nil {
-			return nil, err
-		}
 	}
 	return p, nil
-}
-
-// predistort measures the in-band phase error of the predicted data
-// waveform against the original target phase theta through a nominal
-// Bluetooth channel filter, and subtracts it (damped) from the working
-// target.
-func (s *Synthesizer) predistort(theta, working []float64, dataWave []complex128) ([]float64, error) {
-	n := len(theta)
-	pred := make([]complex128, n)
-	copy(pred, dataWave[:min(n, len(dataWave))])
-	ideal := dsp.PhaseToIQ(theta, 1)
-	// Mix both to the Bluetooth channel and filter.
-	off := s.lastOffsetHz
-	dsp.Mix(pred, -off, wifi.SampleRate, 0)
-	dsp.Mix(ideal, -off, wifi.SampleRate, 0)
-	predIB := s.predistFIR.Apply(pred)
-	idealIB := s.predistFIR.Apply(ideal)
-	// Constant rotation between the two (modulation start phase etc.).
-	var rot complex128
-	for i := range predIB {
-		if predIB[i] == 0 || idealIB[i] == 0 {
-			continue
-		}
-		d := cmplxPhase(predIB[i]) - cmplxPhase(idealIB[i])
-		rot += complex(math.Cos(d), math.Sin(d))
-	}
-	offset := cmplxPhase(rot)
-	out := make([]float64, n)
-	const beta = 0.9  // damping
-	const clip = 0.75 // ignore wild regions (deep amplitude nulls)
-	for i := range out {
-		dphi := 0.0
-		if predIB[i] != 0 && idealIB[i] != 0 {
-			dphi = dsp.WrapAngle(cmplxPhase(predIB[i]) - cmplxPhase(idealIB[i]) - offset)
-		}
-		if dphi > clip {
-			dphi = clip
-		} else if dphi < -clip {
-			dphi = -clip
-		}
-		out[i] = working[i] - beta*dphi
-	}
-	return out, nil
 }
 
 func cmplxPhase(v complex128) float64 { return math.Atan2(imag(v), real(v)) }
@@ -660,7 +566,7 @@ func (s *Synthesizer) precompensatePilots(theta, working []float64, nsym int, of
 // perturbation from the working target.
 func (s *Synthesizer) applyPilotCorrection(theta, working []float64, pIB []complex128) []float64 {
 	// Transmitted in-band signal amplitude in the same grid units.
-	a := s.opts.ScaleFactor / GridScale
+	a := scaleFactor / GridScale
 	out := make([]float64, len(theta))
 	for n := range out {
 		sin, cos := math.Sincos(theta[n])
@@ -901,13 +807,6 @@ func (s *Synthesizer) rehearse(res *Result, pktLen int) (mismatches int, minMarg
 	if start+pktLen > len(res.Waveform) {
 		return 0, 0
 	}
-	if s.rehearseRx == nil {
-		rcv, err := btrx.NewReceiver(btrx.Profile{Name: "rehearsal"}, s.lastOffsetHz, bt.Device{})
-		if err != nil {
-			return 0, 0
-		}
-		s.rehearseRx = rcv
-	}
 	s.rehearseRx.ChannelOffsetHz = s.lastOffsetHz
 	ideal := dsp.GetComplex(pktLen)
 	defer dsp.PutComplex(ideal)
@@ -961,10 +860,6 @@ func (s *Synthesizer) synthesizeShifted(ctx context.Context, basebandPhase []flo
 
 	s.lastOffsetHz = plan.OffsetHz
 	theta, lead, nsym := s.layoutPhase(basebandPhase, plan.OffsetHz)
-	iterations := s.opts.PredistortIterations
-	if iterations <= 0 || s.opts.PSDUOnly {
-		iterations = 0 // single open-loop pass (closed loop does not converge)
-	}
 	target := theta
 	if s.opts.CPPrecompensation {
 		target, err = s.precompensateCP(theta, target, plan.OffsetHz)
@@ -972,25 +867,13 @@ func (s *Synthesizer) synthesizeShifted(ctx context.Context, basebandPhase []flo
 			return nil, err
 		}
 	}
-	if s.opts.PilotPrecompensation {
-		target, err = s.precompensatePilots(theta, target, nsym, plan.OffsetHz)
-		if err != nil {
-			return nil, err
-		}
+	target, err = s.precompensatePilots(theta, target, nsym, plan.OffsetHz)
+	if err != nil {
+		return nil, err
 	}
-	var pass *synthPass
-	for it := 0; ; it++ {
-		pass, err = s.synthOnce(ctx, target, nsym, plan.OffsetHz)
-		if err != nil {
-			return nil, err
-		}
-		if it >= iterations {
-			break
-		}
-		target, err = s.predistort(theta, target, pass.dataWave)
-		if err != nil {
-			return nil, err
-		}
+	pass, err := s.synthOnce(ctx, target, nsym, plan.OffsetHz)
+	if err != nil {
+		return nil, err
 	}
 
 	// Descramble and pack the PSDU.
@@ -1004,10 +887,10 @@ func (s *Synthesizer) synthesizeShifted(ctx context.Context, basebandPhase []flo
 	}
 	s.met.observeScramble(dScramble)
 
-	// Predicted waveform: what the chip will emit for this PSDU
-	// (including the preamble when configured).
-	waveform := pass.dataWave
-	if s.opts.Preamble && !s.opts.PSDUOnly {
+	// Predicted waveform: what the chip will emit for this PSDU,
+	// preamble included.
+	var waveform []complex128
+	if !s.opts.PSDUOnly {
 		waveform, err = s.tx.TransmitSymbols(pass.symbols, psduLen)
 		if err != nil {
 			return nil, err
@@ -1033,9 +916,8 @@ func (s *Synthesizer) synthesizeShifted(ctx context.Context, basebandPhase []flo
 	firstSym := lead / symbolLen
 	lastSym := (lead + pktLen + symbolLen - 1) / symbolLen
 	weights := s.codedBitWeights(plan.OffsetHz, nsym)
-	reCoded := wifi.EncodeRate(pass.data, s.mcs.Rate)
 	for i := firstSym * s.mcs.NCBPS; i < lastSym*s.mcs.NCBPS && i < len(coded); i++ {
-		if reCoded[i] != coded[i] && weights[i] >= WeightImportant {
+		if pass.reCoded[i] != coded[i] && weights[i] >= WeightImportant {
 			res.PacketImportantFlips++
 		}
 	}
@@ -1072,13 +954,6 @@ func (s *Synthesizer) inbandPhaseRMSE(ideal, predicted []complex128, offsetHz fl
 	s.predistFIR.ApplyInto(aIB, a)
 	s.predistFIR.ApplyInto(bIB, b)
 	return dsp.PhaseRMSE(aIB, bIB)
-}
-
-func sign(x float64) float64 {
-	if x < 0 {
-		return -1
-	}
-	return 1
 }
 
 // PSDULenForSymbols exposes the frame layout for tests and the chip model.
