@@ -14,9 +14,11 @@ import (
 // The stage histograms partition part of the synth histogram: every
 // stage span runs inside its call's core.synth span, so per call the
 // stage sums never exceed the synth observation. The remainder is
-// unspanned work (GFSK shaping, precompensation, re-encoding, waveform
-// reconstruction, rehearsal).
+// unspanned work (layout, re-encoding, waveform reconstruction,
+// rehearsal).
 type coreMetrics struct {
+	stageShape    *obs.Histogram
+	stagePrecomp  *obs.Histogram
 	stageIQGen    *obs.Histogram
 	stageFFTQAM   *obs.Histogram
 	stageFEC      *obs.Histogram
@@ -40,6 +42,8 @@ func newCoreMetrics(r *obs.Registry, mode Mode) *coreMetrics {
 	}
 	m := obs.L("mode", mode.String())
 	return &coreMetrics{
+		stageShape:    stage("shape"),
+		stagePrecomp:  stage("precomp"),
 		stageIQGen:    stage("iqgen"),
 		stageFFTQAM:   stage("fftqam"),
 		stageFEC:      stage("fec"),
@@ -52,6 +56,22 @@ func newCoreMetrics(r *obs.Registry, mode Mode) *coreMetrics {
 		dirty: r.Counter("bluefi_core_rehearsal_dirty_total",
 			"synthesis results whose best candidate still rehearsed with mismatches"),
 	}
+}
+
+// observeShape records one call's GFSK shaping (air bits to phase).
+func (m *coreMetrics) observeShape(d time.Duration) {
+	if m == nil {
+		return
+	}
+	m.stageShape.Observe(d.Seconds())
+}
+
+// observePrecomp records one pass's CP and pilot pre-compensation.
+func (m *coreMetrics) observePrecomp(d time.Duration) {
+	if m == nil {
+		return
+	}
+	m.stagePrecomp.Observe(d.Seconds())
 }
 
 // observePass records one open-loop pass's stage durations.

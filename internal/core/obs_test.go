@@ -12,9 +12,10 @@ import (
 // telemetry layer in the §4.8 configuration (no phase search, fixed
 // scale), which runs exactly one synthesis pass per packet: every public
 // call — Synthesize or SynthesizePhase — opens exactly one core.synth
-// span, each stage is observed once per call under it, and the stage
-// sums never exceed the synth sum, because the stages partition part of
-// the synth span.
+// span, each stage is observed once per call under it (GFSK shaping
+// only on Synthesize, the one entry point that shapes air bits), and
+// the stage sums never exceed the synth sum, because the stages
+// partition part of the synth span.
 func TestTelemetryStageConsistency(t *testing.T) {
 	reg := obs.NewRegistry()
 	opts := DefaultOptions()
@@ -78,9 +79,13 @@ func TestTelemetryStageConsistency(t *testing.T) {
 	}
 
 	var stageTotal float64
-	for _, stage := range []string{"iqgen", "fftqam", "fec", "scramble"} {
-		if n := stageCounts[stage]; n != calls {
-			t.Errorf("stage %q: %d observations, want %d", stage, n, calls)
+	for _, stage := range []string{"shape", "precomp", "iqgen", "fftqam", "fec", "scramble"} {
+		want := calls
+		if stage == "shape" {
+			want = int64(iterations)
+		}
+		if n := stageCounts[stage]; n != want {
+			t.Errorf("stage %q: %d observations, want %d", stage, n, want)
 		}
 		stageTotal += stageSums[stage]
 	}
@@ -109,7 +114,7 @@ func TestTelemetryStageConsistency(t *testing.T) {
 	if synthSpans != calls {
 		t.Errorf("%d core.synth spans recorded, want one per call (%d)", synthSpans, calls)
 	}
-	for _, stage := range []string{"core.iqgen", "core.fftqam", "fec.invert", "core.scramble"} {
+	for _, stage := range []string{"core.shape", "core.precomp", "core.iqgen", "core.fftqam", "fec.invert", "core.scramble"} {
 		pid, ok := parents[stage]
 		if !ok {
 			t.Errorf("no %s span recorded", stage)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/cmplx"
 
 	"bluefi/internal/bits"
 	"bluefi/internal/bt"
@@ -195,9 +196,18 @@ type Synthesizer struct {
 	fitInter      [2][]byte
 	fitInband     []bool
 
+	// precompIQ is precompensate's e^{jθ} scratch, grown to the longest
+	// laid-out target seen.
+	precompIQ []complex128
+
 	// pilotIBCache memoizes the in-band pilot waveform per (nsym,
 	// offset): it is data-independent, so audio streams reuse it.
 	pilotIBCache map[pilotKey][]complex128
+
+	// mixCache memoizes the PSDU-only CP correction's baseband mixer
+	// phasors e^{−j2π·offset·i/fs} per (nsym, offset), for the same
+	// reason.
+	mixCache map[pilotKey][]complex128
 
 	// weightsCache memoizes CodedBitWeights per (nsym, offset) — also
 	// data-independent, and rebuilt twice per packet otherwise. Entries
@@ -522,6 +532,25 @@ func (s *Synthesizer) synthOnce(ctx context.Context, target []float64, nsym int,
 
 func cmplxPhase(v complex128) float64 { return math.Atan2(imag(v), real(v)) }
 
+// precompensate returns the target phase: theta with the CP
+// construction's and the pilots' predicted in-band phase errors
+// subtracted. Both corrections project onto e^{jθ}, computed once here.
+func (s *Synthesizer) precompensate(theta []float64, nsym int, offsetHz float64) ([]float64, error) {
+	if cap(s.precompIQ) < len(theta) {
+		s.precompIQ = make([]complex128, len(theta))
+	}
+	eTheta := s.precompIQ[:len(theta)]
+	dsp.PhaseToIQInto(eTheta, theta, 1)
+	target := theta
+	if s.opts.CPPrecompensation {
+		var err error
+		if target, err = s.precompensateCP(theta, eTheta, target, offsetHz); err != nil {
+			return nil, err
+		}
+	}
+	return s.precompensatePilots(eTheta, target, nsym, offsetHz)
+}
+
 // precompensatePilots subtracts the pilots' predicted in-band phase
 // perturbation from the target phase. The pilot waveform is fixed by the
 // standard (tones at ±7, ±21 with the known polarity sequence), so its
@@ -530,12 +559,14 @@ func cmplxPhase(v complex128) float64 { return math.Atan2(imag(v), real(v)) }
 // unit-modulus signal s = a·e^{jθ}, the received phase error is
 // Im(p·e^{−jθ})/a. Pre-rotating the target by its negative cancels the
 // perturbation at the receiver.
-func (s *Synthesizer) precompensatePilots(theta, working []float64, nsym int, offsetHz float64) ([]float64, error) {
+//
+// eTheta is e^{jθ} of the laid-out target phase.
+func (s *Synthesizer) precompensatePilots(eTheta []complex128, working []float64, nsym int, offsetHz float64) ([]float64, error) {
 	if s.pilotIBCache == nil {
 		s.pilotIBCache = make(map[pilotKey][]complex128)
 	}
 	if pIB, ok := s.pilotIBCache[pilotKey{nsym, offsetHz}]; ok {
-		return s.applyPilotCorrection(theta, working, pIB), nil
+		return s.applyPilotCorrection(eTheta, working, pIB), nil
 	}
 	// Pilot-only symbols in grid units, modulated like the data field.
 	pilotAmp := wifi.PilotAmplitude(s.mcs.Modulation)
@@ -553,23 +584,23 @@ func (s *Synthesizer) precompensatePilots(theta, working []float64, nsym int, of
 		return nil, err
 	}
 	// In-band pilot component at the Bluetooth channel.
-	p := make([]complex128, len(theta))
-	copy(p, pWave[:len(theta)])
+	p := make([]complex128, len(eTheta))
+	copy(p, pWave[:len(eTheta)])
 	dsp.Mix(p, -offsetHz, wifi.SampleRate, 0)
 	pIB := s.predistFIR.Apply(p)
 	dsp.Mix(pIB, +offsetHz, wifi.SampleRate, 0)
 	s.pilotIBCache[pilotKey{nsym, offsetHz}] = pIB
-	return s.applyPilotCorrection(theta, working, pIB), nil
+	return s.applyPilotCorrection(eTheta, working, pIB), nil
 }
 
 // applyPilotCorrection subtracts the pilots' first-order phase
 // perturbation from the working target.
-func (s *Synthesizer) applyPilotCorrection(theta, working []float64, pIB []complex128) []float64 {
+func (s *Synthesizer) applyPilotCorrection(eTheta []complex128, working []float64, pIB []complex128) []float64 {
 	// Transmitted in-band signal amplitude in the same grid units.
 	a := scaleFactor / GridScale
-	out := make([]float64, len(theta))
+	out := make([]float64, len(eTheta))
 	for n := range out {
-		sin, cos := math.Sincos(theta[n])
+		cos, sin := real(eTheta[n]), imag(eTheta[n])
 		dphi := (imag(pIB[n])*cos - real(pIB[n])*sin) / a
 		// The small-interferer approximation breaks if |p| approaches a.
 		if dphi > 0.5 {
@@ -587,7 +618,8 @@ func (s *Synthesizer) applyPilotCorrection(theta, working []float64, pIB []compl
 // CP-designed waveform and the true waveform after the nominal channel
 // filter. It is structural — no quantization involved — so subtracting it
 // pre-cancels most of the in-band residue the paper's §2.4 design leaves.
-func (s *Synthesizer) precompensateCP(theta, working []float64, offsetHz float64) ([]float64, error) {
+// eTheta is e^{jθ}.
+func (s *Synthesizer) precompensateCP(theta []float64, eTheta []complex128, working []float64, offsetHz float64) ([]float64, error) {
 	thetaHat, err := DesignCP(theta, wifi.ShortGI)
 	if err != nil {
 		return nil, err
@@ -596,7 +628,7 @@ func (s *Synthesizer) precompensateCP(theta, working []float64, offsetHz float64
 		// The exact correction filters both waveforms and takes the
 		// in-band phase difference; the sparse first-order version below
 		// is reserved for the PSDU-only hot path.
-		return s.precompensateCPExact(theta, working, thetaHat, offsetHz)
+		return s.precompensateCPExact(eTheta, working, thetaHat, offsetHz)
 	}
 	// The difference e^{jθ̂}−e^{jθ} is nonzero only at the ≈9 corrupted
 	// samples per 72-sample symbol, so its in-band component comes from a
@@ -608,25 +640,26 @@ func (s *Synthesizer) precompensateCP(theta, working []float64, offsetHz float64
 	dIB := make([]complex128, n)
 	taps := s.predistFIR.Taps
 	delay := s.predistFIR.GroupDelay()
-	mixStep := -2 * math.Pi * offsetHz / wifi.SampleRate
+	mix := s.mixPhasors(n/symbolLen, offsetHz)
 	for i := 0; i < n; i++ {
-		if dsp.WrapAngle(thetaHat[i]-theta[i]) == 0 {
+		// Most samples are copied through unchanged; only the rest pay
+		// for the wrap.
+		if diff := thetaHat[i] - theta[i]; diff == 0 || dsp.WrapAngle(diff) == 0 {
 			continue
 		}
 		sinH, cosH := math.Sincos(thetaHat[i])
-		sinT, cosT := math.Sincos(theta[i])
+		cosT, sinT := real(eTheta[i]), imag(eTheta[i])
 		d := complex(cosH-cosT, sinH-sinT)
 		// Mix to baseband before filtering (phase reference at index 0).
-		sm, cm := math.Sincos(mixStep * float64(i))
-		d *= complex(cm, sm)
+		d *= mix[i]
 		// Scatter through the filter: output j receives taps[k]·d at
-		// j = i − k + delay (delay-compensated convolution).
-		for k, t := range taps {
-			j := i - k + delay
-			if j < 0 || j >= n {
-				continue
-			}
-			dIB[j] += complex(t, 0) * d
+		// j = i − k + delay (delay-compensated convolution), for the k
+		// that land inside the frame. Real taps need two multiplies; as
+		// in dsp.FIR.ApplyInto the sums start at +0, so this matches
+		// complex(t, 0)·d bit for bit.
+		for k := max(0, i+delay-n+1); k <= min(len(taps)-1, i+delay); k++ {
+			t := taps[k]
+			dIB[i-k+delay] += complex(t*real(d), t*imag(d))
 		}
 	}
 	out := make([]float64, n)
@@ -634,9 +667,8 @@ func (s *Synthesizer) precompensateCP(theta, working []float64, offsetHz float64
 	const clip = 0.2 // glitch regions exceed the first-order model
 	for i := range out {
 		// Mix back up and project onto the phase direction.
-		sm, cm := math.Sincos(-mixStep * float64(i))
-		d := dIB[i] * complex(cm, sm)
-		sinT, cosT := math.Sincos(theta[i])
+		d := dIB[i] * cmplx.Conj(mix[i])
+		cosT, sinT := real(eTheta[i]), imag(eTheta[i])
 		dphi := imag(d)*cosT - real(d)*sinT
 		if dphi > clip {
 			dphi = clip
@@ -648,13 +680,35 @@ func (s *Synthesizer) precompensateCP(theta, working []float64, offsetHz float64
 	return out, nil
 }
 
+// mixPhasors returns the memoized baseband mixer phasors
+// e^{j·mixStep·i}, mixStep = −2π·offset/fs, for the nsym·symbolLen
+// samples of a laid-out target. The entries are read-only. math.Sincos
+// is exactly odd, so the conjugate is the up-mixer for the same sample.
+func (s *Synthesizer) mixPhasors(nsym int, offsetHz float64) []complex128 {
+	key := pilotKey{nsym: nsym, offset: offsetHz}
+	if m, ok := s.mixCache[key]; ok {
+		return m
+	}
+	if s.mixCache == nil {
+		s.mixCache = make(map[pilotKey][]complex128)
+	}
+	mixStep := -2 * math.Pi * offsetHz / wifi.SampleRate
+	m := make([]complex128, nsym*symbolLen)
+	for i := range m {
+		sm, cm := math.Sincos(mixStep * float64(i))
+		m[i] = complex(cm, sm)
+	}
+	s.mixCache[key] = m
+	return m
+}
+
 // precompensateCPExact is the quality-mode correction: in-band phase
 // difference between the CP-designed and ideal waveforms through the
-// nominal channel filter.
-func (s *Synthesizer) precompensateCPExact(theta, working, thetaHat []float64, offsetHz float64) ([]float64, error) {
-	a := dsp.GetComplex(len(theta))
+// nominal channel filter. eTheta is the ideal waveform e^{jθ}.
+func (s *Synthesizer) precompensateCPExact(eTheta []complex128, working, thetaHat []float64, offsetHz float64) ([]float64, error) {
+	a := dsp.GetComplex(len(eTheta))
 	b := dsp.GetComplex(len(thetaHat))
-	aIB := dsp.GetComplex(len(theta))
+	aIB := dsp.GetComplex(len(eTheta))
 	bIB := dsp.GetComplex(len(thetaHat))
 	defer func() {
 		dsp.PutComplex(a)
@@ -662,13 +716,13 @@ func (s *Synthesizer) precompensateCPExact(theta, working, thetaHat []float64, o
 		dsp.PutComplex(aIB)
 		dsp.PutComplex(bIB)
 	}()
-	dsp.PhaseToIQInto(a, theta, 1)
+	copy(a, eTheta)
 	dsp.PhaseToIQInto(b, thetaHat, 1)
 	dsp.Mix(a, -offsetHz, wifi.SampleRate, 0)
 	dsp.Mix(b, -offsetHz, wifi.SampleRate, 0)
 	s.predistFIR.ApplyInto(aIB, a)
 	s.predistFIR.ApplyInto(bIB, b)
-	out := make([]float64, len(theta))
+	out := make([]float64, len(eTheta))
 	const beta = 0.6
 	const clip = 0.2
 	for n := range out {
@@ -701,9 +755,12 @@ func (s *Synthesizer) Synthesize(airBits []byte, btMHz float64) (*Result, error)
 	ctx, sp := obs.StartSpan(s.obsCtx, "core.synth", obs.L("mode", s.opts.Mode.String()))
 	g := s.opts.GFSK
 	g.CenterOffset = 0 // baseband; the offset is mixed in below
+	_, spShape := obs.StartSpan(ctx, "core.shape")
 	pkt, err := g.PhaseSignal(airBits)
+	dShape := spShape.End()
 	var res *Result
 	if err == nil {
+		s.met.observeShape(dShape)
 		res, err = s.synthesizePhase(ctx, pkt, btMHz)
 	}
 	s.endSynth(sp, res, err)
@@ -860,17 +917,13 @@ func (s *Synthesizer) synthesizeShifted(ctx context.Context, basebandPhase []flo
 
 	s.lastOffsetHz = plan.OffsetHz
 	theta, lead, nsym := s.layoutPhase(basebandPhase, plan.OffsetHz)
-	target := theta
-	if s.opts.CPPrecompensation {
-		target, err = s.precompensateCP(theta, target, plan.OffsetHz)
-		if err != nil {
-			return nil, err
-		}
-	}
-	target, err = s.precompensatePilots(theta, target, nsym, plan.OffsetHz)
+	_, spPre := obs.StartSpan(ctx, "core.precomp")
+	target, err := s.precompensate(theta, nsym, plan.OffsetHz)
+	dPrecomp := spPre.End()
 	if err != nil {
 		return nil, err
 	}
+	s.met.observePrecomp(dPrecomp)
 	pass, err := s.synthOnce(ctx, target, nsym, plan.OffsetHz)
 	if err != nil {
 		return nil, err

@@ -169,6 +169,57 @@ func TestFIRApplyIdentity(t *testing.T) {
 	}
 }
 
+// referenceApply is the direct complex-product convolution ApplyInto
+// replaced: every tap is tested against the edges and multiplied in as
+// complex(t, 0). It is the oracle ApplyInto must match bit for bit.
+func referenceApply(taps []float64, x []complex128) []complex128 {
+	out := make([]complex128, len(x))
+	d := (len(taps) - 1) / 2
+	for n := range out {
+		var acc complex128
+		for k, t := range taps {
+			idx := n + d - k
+			if idx < 0 || idx >= len(x) {
+				continue
+			}
+			acc += complex(t, 0) * x[idx]
+		}
+		out[n] = acc
+	}
+	return out
+}
+
+func TestFIRApplyMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	lowpass, err := LowpassFIR(600e3, 20e6, 101)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, taps := range [][]float64{lowpass.Taps, {0.25}, {0.5, -0.25}, {1, -2, 3, -4, 5, -6, 7}} {
+		f := &FIR{Taps: taps}
+		for n := 0; n <= 260; n++ {
+			x := randIQ(rng, n)
+			// Exact zeros of either sign make some products ±0.
+			for i := range x {
+				switch rng.Intn(6) {
+				case 0:
+					x[i] = complex(0, imag(x[i]))
+				case 1:
+					x[i] = complex(real(x[i]), math.Copysign(0, -1))
+				}
+			}
+			got := f.Apply(x)
+			want := referenceApply(taps, x)
+			for i := range got {
+				if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+					math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+					t.Fatalf("%d taps, len %d: sample %d = %v, reference %v", len(taps), n, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestGaussianPulseProperties(t *testing.T) {
 	taps := GaussianPulse(0.5, 20, 3)
 	if len(taps) != 61 {

@@ -71,18 +71,55 @@ func (f *FIR) ApplyInto(out, x []complex128) {
 		copy(out, x)
 		return
 	}
+	// Output n sums taps[k]·x[n+d−k] over the k that index inside x, in
+	// ascending k. The taps are real, so each term costs two multiplies;
+	// the accumulators start at +0 and so never reach −0, which makes the
+	// componentwise sums bit-identical to complex(t, 0)·x products.
+	// Outputs in [lo, hi) see every tap inside x; they run four at a
+	// time, so four independent sums overlap in the pipeline while each
+	// keeps its own order.
 	d := f.GroupDelay()
-	for n := range out {
-		var acc complex128
-		for k, t := range f.Taps {
-			idx := n + d - k
-			if idx < 0 || idx >= len(x) {
-				continue
-			}
-			acc += complex(t, 0) * x[idx]
-		}
-		out[n] = acc
+	lo := min(len(f.Taps)-1-d, len(out))
+	hi := max(len(x)-d, lo)
+	n := 0
+	for ; n < lo; n++ {
+		out[n] = f.sumAt(x, n)
 	}
+	for ; n+4 <= hi; n += 4 {
+		var r0, i0, r1, i1, r2, i2, r3, i3 float64
+		for k, t := range f.Taps {
+			v := x[n+d-k : n+d-k+4]
+			r0 += t * real(v[0])
+			i0 += t * imag(v[0])
+			r1 += t * real(v[1])
+			i1 += t * imag(v[1])
+			r2 += t * real(v[2])
+			i2 += t * imag(v[2])
+			r3 += t * real(v[3])
+			i3 += t * imag(v[3])
+		}
+		out[n] = complex(r0, i0)
+		out[n+1] = complex(r1, i1)
+		out[n+2] = complex(r2, i2)
+		out[n+3] = complex(r3, i3)
+	}
+	for ; n < len(out); n++ {
+		out[n] = f.sumAt(x, n)
+	}
+}
+
+// sumAt is output n of ApplyInto, skipping the taps that fall outside x.
+//
+//bluefi:allocfree
+func (f *FIR) sumAt(x []complex128, n int) complex128 {
+	d := f.GroupDelay()
+	var re, im float64
+	for k := max(0, n+d-len(x)+1); k <= min(len(f.Taps)-1, n+d); k++ {
+		t, v := f.Taps[k], x[n+d-k]
+		re += t * real(v)
+		im += t * imag(v)
+	}
+	return complex(re, im)
 }
 
 // GaussianPulse returns a unit-area Gaussian pulse for GFSK shaping with
@@ -112,38 +149,4 @@ func GaussianPulse(bt float64, spb, spanBits int) []float64 {
 		taps[i] /= sum
 	}
 	return taps
-}
-
-// ConvolveReal convolves a real signal with real taps and returns the
-// "same"-length, delay-compensated result (mirror of FIR.Apply for real
-// signals; used on GFSK frequency trajectories).
-func ConvolveReal(x, taps []float64) []float64 {
-	out := make([]float64, len(x))
-	ConvolveRealInto(out, x, taps)
-	return out
-}
-
-// ConvolveRealInto is ConvolveReal writing into a caller-provided buffer
-// of the same length as x (which must not alias x).
-//
-//bluefi:allocfree
-func ConvolveRealInto(out, x, taps []float64) {
-	if len(out) != len(x) {
-		panic("dsp: ConvolveRealInto length mismatch")
-	}
-	d := (len(taps) - 1) / 2
-	for n := range out {
-		var acc float64
-		for k, t := range taps {
-			idx := n + d - k
-			if idx < 0 {
-				idx = 0 // hold edge values: frequency signal is flat outside
-			}
-			if idx >= len(x) {
-				idx = len(x) - 1
-			}
-			acc += t * x[idx]
-		}
-		out[n] = acc
-	}
 }

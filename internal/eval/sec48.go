@@ -52,7 +52,7 @@ const Sec48FrequencyMHz = 2426
 
 // sec48Stages lists the bluefi_core_stage_seconds label values in
 // pipeline order.
-var sec48Stages = []string{"iqgen", "fftqam", "fec", "scramble"}
+var sec48Stages = []string{"shape", "precomp", "iqgen", "fftqam", "fec", "scramble"}
 
 // HistogramTotal is one duration histogram series: its observation
 // count and summed duration.

@@ -69,53 +69,125 @@ func (c Config) validate() error {
 	return nil
 }
 
-// pulseCache memoizes the Gaussian shaping taps per (BT, spb, span).
-// The pulse is data-independent and entries are shared read-only, so
-// every packet of a stream reuses one tap set instead of resampling the
-// Gaussian per synthesis.
-var pulseCache struct {
+// shapeSpanBits is the Gaussian pulse's truncation span in bit periods.
+const shapeSpanBits = 3
+
+// shapeWindow is the number of NRZ symbols one shaped sample can see: the
+// 3·spb+1 taps, centred on the sample, reach into at most four symbols.
+const shapeWindow = shapeSpanBits + 1
+
+// shapePatterns counts the symbol windows: each symbol is −1, 0 (pad) or
+// +1, so 3^shapeWindow.
+const shapePatterns = 81
+
+// shaper is the Gaussian shaping filter as a lookup table. The NRZ train
+// it filters is piecewise-constant over whole symbols, so an output
+// sample depends only on its sub-bit phase p and the values of the
+// shapeWindow symbols its taps reach, starting lo[p] symbols from its
+// own. tab[p*shapePatterns+pattern] holds the filter output for each
+// window pattern, summed tap by tap in the same order as a direct
+// convolution — so the lookup is bit-identical to filtering the train.
+type shaper struct {
+	spb int
+	lo  []int
+	tab []float64
+}
+
+// floorDiv is ⌊a/b⌋ for b > 0.
+func floorDiv(a, b int) int {
+	q := a / b
+	if a%b < 0 {
+		q--
+	}
+	return q
+}
+
+// newShaper tabulates the delay-compensated convolution with taps.
+func newShaper(taps []float64, spb int) *shaper {
+	d := (len(taps) - 1) / 2
+	sh := &shaper{spb: spb, lo: make([]int, spb), tab: make([]float64, spb*shapePatterns)}
+	for p := range sh.lo {
+		lo := floorDiv(p-d, spb)
+		sh.lo[p] = lo
+		for pat := 0; pat < shapePatterns; pat++ {
+			var acc float64
+			for k, t := range taps {
+				// Tap k reads sample p+d−k; m is its symbol's place in
+				// the window and digit m of pat (base 3) its value + 1.
+				m := floorDiv(p+d-k, spb) - lo
+				digit := pat
+				for ; m > 0; m-- {
+					digit /= 3
+				}
+				acc += t * float64(digit%3-1)
+			}
+			sh.tab[p*shapePatterns+pat] = acc
+		}
+	}
+	return sh
+}
+
+// shaperCache memoizes one shaper per Gaussian pulse (BT, spb). The
+// table is data-independent and shared read-only, so every packet of a
+// stream reuses it instead of re-filtering with the pulse per synthesis.
+var shaperCache struct {
 	sync.Mutex
-	m map[pulseKey][]float64
+	m map[pulseKey]*shaper
 }
 
 type pulseKey struct {
-	bt       float64
-	spb, spn int
+	bt  float64
+	spb int
 }
 
-func cachedPulse(bt float64, spb, spanBits int) []float64 {
-	key := pulseKey{bt: bt, spb: spb, spn: spanBits}
-	pulseCache.Lock()
-	defer pulseCache.Unlock()
-	if p, ok := pulseCache.m[key]; ok {
-		return p
+func cachedShaper(bt float64, spb int) *shaper {
+	key := pulseKey{bt: bt, spb: spb}
+	shaperCache.Lock()
+	defer shaperCache.Unlock()
+	if sh, ok := shaperCache.m[key]; ok {
+		return sh
 	}
-	if pulseCache.m == nil {
-		pulseCache.m = make(map[pulseKey][]float64)
+	if shaperCache.m == nil {
+		shaperCache.m = make(map[pulseKey]*shaper)
 	}
-	p := dsp.GaussianPulse(bt, spb, spanBits)
-	pulseCache.m[key] = p
-	return p
+	sh := newShaper(dsp.GaussianPulse(bt, spb, shapeSpanBits), spb)
+	shaperCache.m[key] = sh
+	return sh
 }
 
-// nrzInto expands air bits into a ±1 NRZ sample train with pad
-// zero-frequency samples on each side. dst must hold
-// 2*pad + len(airBits)*spb samples.
+// shapeInto writes the shaped NRZ train of air bits framed by pad
+// zero-frequency symbols on each side, scaled by gain, into dst
+// (len(dst) = (2*pad + len(airBits))·spb). Symbols beyond either end take
+// the edge symbol's value: the frequency signal is flat outside.
 //
 //bluefi:allocfree
-func nrzInto(dst []float64, airBits []byte, spb, pad int) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	for i, b := range airBits {
-		v := -1.0
-		if b&1 == 1 {
-			v = 1.0
+func (sh *shaper) shapeInto(dst []float64, airBits []byte, pad int, gain float64) {
+	nSym := 2*pad + len(airBits)
+	for i := 0; i < nSym; i++ {
+		row := dst[i*sh.spb : (i+1)*sh.spb]
+		pat, patLo := 0, 1 // no window starts one symbol after its sample
+		for p := range row {
+			if lo := sh.lo[p]; lo != patLo {
+				pat, patLo = 0, lo
+				for m := shapeWindow - 1; m >= 0; m-- {
+					pat = 3*pat + symbolDigit(airBits, pad, i+lo+m)
+				}
+			}
+			row[p] = sh.tab[p*shapePatterns+pat] * gain
 		}
-		for k := 0; k < spb; k++ {
-			dst[pad+i*spb+k] = v
-		}
 	}
+}
+
+// symbolDigit returns NRZ symbol i's value + 1 (0, 1 or 2) for air bits
+// framed by pad zero symbols on each side, with i clamped to the signal.
+//
+//bluefi:allocfree
+func symbolDigit(airBits []byte, pad, i int) int {
+	i = min(max(i, 0), 2*pad+len(airBits)-1)
+	if i < pad || i >= pad+len(airBits) {
+		return 1
+	}
+	return 2 * int(airBits[i-pad]&1)
 }
 
 // FrequencySignal shapes air bits into the instantaneous-frequency
@@ -125,14 +197,8 @@ func (c Config) FrequencySignal(airBits []byte) ([]float64, error) {
 		return nil, err
 	}
 	spb := c.SamplesPerBit()
-	pad := c.PadBits * spb
-	nrz := make([]float64, pad+len(airBits)*spb+pad)
-	nrzInto(nrz, airBits, spb, pad)
-	shaped := make([]float64, len(nrz))
-	dsp.ConvolveRealInto(shaped, nrz, cachedPulse(c.BT, spb, 3))
-	for i := range shaped {
-		shaped[i] *= c.Deviation
-	}
+	shaped := make([]float64, (2*c.PadBits+len(airBits))*spb)
+	cachedShaper(c.BT, spb).shapeInto(shaped, airBits, c.PadBits, c.Deviation)
 	return shaped, nil
 }
 

@@ -3,6 +3,7 @@ package gfsk
 import (
 	"math"
 	"math/cmplx"
+	"math/rand"
 	"testing"
 
 	"bluefi/internal/dsp"
@@ -63,6 +64,81 @@ func TestFrequencySignalPolarityAndDeviation(t *testing.T) {
 	// Pads hold the carrier (zero frequency) well before the packet.
 	if math.Abs(freq[0]) > 1 {
 		t.Fatalf("pad frequency %g, want ~0", freq[0])
+	}
+}
+
+// convolveReal is the direct delay-compensated convolution the shaping
+// table replaced, holding the edge samples beyond either end. It is the
+// oracle the table must match bit for bit.
+func convolveReal(out, x, taps []float64) {
+	d := (len(taps) - 1) / 2
+	for n := range out {
+		var acc float64
+		for k, t := range taps {
+			idx := n + d - k
+			if idx < 0 {
+				idx = 0
+			}
+			if idx >= len(x) {
+				idx = len(x) - 1
+			}
+			acc += t * x[idx]
+		}
+		out[n] = acc
+	}
+}
+
+// directFrequencySignal shapes air bits the way the table replaced: an
+// explicit ±1 NRZ train with zero pads, convolved with the pulse, then
+// scaled by the deviation.
+func directFrequencySignal(c Config, airBits []byte) []float64 {
+	spb := c.SamplesPerBit()
+	pad := c.PadBits * spb
+	nrz := make([]float64, pad+len(airBits)*spb+pad)
+	for i, b := range airBits {
+		v := -1.0
+		if b&1 == 1 {
+			v = 1.0
+		}
+		for k := 0; k < spb; k++ {
+			nrz[pad+i*spb+k] = v
+		}
+	}
+	shaped := make([]float64, len(nrz))
+	convolveReal(shaped, nrz, dsp.GaussianPulse(c.BT, spb, shapeSpanBits))
+	for i := range shaped {
+		shaped[i] *= c.Deviation
+	}
+	return shaped
+}
+
+func TestFrequencySignalMatchesDirectConvolution(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, base := range []Config{BRConfig(), BLEConfig()} {
+		for _, pad := range []int{0, 8} {
+			c := base
+			c.PadBits = pad
+			for n := 1; n <= 64; n++ {
+				air := make([]byte, n)
+				for i := range air {
+					air[i] = byte(rng.Intn(2))
+				}
+				got, err := c.FrequencySignal(air)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := directFrequencySignal(c, air)
+				if len(got) != len(want) {
+					t.Fatalf("dev %g pad %d n %d: %d samples, want %d", c.Deviation, pad, n, len(got), len(want))
+				}
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("dev %g pad %d n %d: sample %d = %v, direct convolution %v",
+							c.Deviation, pad, n, i, got[i], want[i])
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -145,6 +221,20 @@ func BenchmarkModulateDH1(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.Modulate(air); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkFrequencySignal(b *testing.B) {
+	c := BRConfig()
+	air := make([]byte, 366) // one DH1 packet
+	for i := range air {
+		air[i] = byte(i / 3 & 1)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.FrequencySignal(air); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -80,9 +80,35 @@ type Input struct {
 // PinnedSuffixZeros returns a suffix of n zero bits, the common tail case.
 func PinnedSuffixZeros(n int) []byte { return make([]byte, n) }
 
+// butterflyOut[j] is the (A,B) output pair, packed A<<1|B, of the
+// transition from state j on input 0. Both generators tap the input (D⁰)
+// and the oldest register bit (D⁶), so flipping either inverts both
+// outputs: the butterfly's other three transitions — j on input 1 and
+// j|32 on either input — emit this pair or its complement (^3).
+var butterflyOut = func() (t [numStates / 2]uint8) {
+	for j := range t {
+		a, b := outputs(uint8(j), 0)
+		t[j] = a<<1 | b
+	}
+	return t
+}()
+
 // Decode finds input bits minimizing the weighted Hamming distance between
 // the re-encoded output and in.Bits. It returns the information bits
 // (length len(Bits)/2).
+//
+// Each trellis step is a pull-form add-compare-select over 32 butterflies:
+// butterfly j reads states j and j|32 and writes states 2j and 2j+1, and
+// its four transitions share two of the step's four branch metrics. On
+// equal cost the lower predecessor (j) wins, so among equal-cost paths
+// the result is the one a forward push over ascending states with a
+// strict < keeps.
+//
+// Precondition for that exactness: every weight is integer-valued (core's
+// Table 1 weights × bit significance, 0/1 erasure masks), so every path
+// cost is an integer below 2⁵³ and summing a step's two position costs
+// before adding them to the path metric rounds nowhere. Non-integer
+// weights still give a minimum-cost path, up to rounding.
 func Decode(in Input) ([]byte, error) {
 	if len(in.Bits)%2 != 0 {
 		return nil, fmt.Errorf("viterbi: %d mother bits, want even", len(in.Bits))
@@ -95,62 +121,76 @@ func Decode(in Input) ([]byte, error) {
 		return nil, fmt.Errorf("viterbi: pinned %d+%d bits exceed %d inputs",
 			len(in.PinnedPrefix), len(in.PinnedSuffix), n)
 	}
-	weight := func(pos int) float64 {
-		if in.Weight == nil {
-			return 1
-		}
-		return in.Weight[pos]
-	}
 
-	metric := make([]float64, numStates)
-	next := make([]float64, numStates)
+	var metric, next [numStates]float64
 	for s := range metric {
 		metric[s] = math.Inf(1)
 	}
 	metric[0] = 0
-	// survivors[t][s] = predecessor state of the best path entering state
-	// s after input t. The input bit itself is bit 0 of s (state = six
-	// most recent inputs, newest in bit 0).
-	survivors := make([][numStates]uint8, n)
+	// survivors[t] bit s is set when the path entering state s after
+	// input t came from the upper predecessor (s>>1)|32 rather than s>>1.
+	// The input bit itself is bit 0 of s (state = six most recent inputs,
+	// newest in bit 0).
+	survivors := make([]uint64, n)
+	suffixStart := n - len(in.PinnedSuffix)
 
 	for t := 0; t < n; t++ {
-		for s := range next {
-			next[s] = math.Inf(1)
+		// bm[o] is the cost of emitting the packed pair o at this step.
+		ta, tb := in.Bits[2*t]&1, in.Bits[2*t+1]&1
+		wa, wb := 1.0, 1.0
+		if in.Weight != nil {
+			wa, wb = in.Weight[2*t], in.Weight[2*t+1]
 		}
-		var forced int8 = -1
+		var bm [4]float64
+		for o := range bm {
+			var ea, eb float64
+			if byte(o>>1) != ta {
+				ea = wa
+			}
+			if byte(o&1) != tb {
+				eb = wb
+			}
+			bm[o] = ea + eb
+		}
+
+		var dec uint64
+		for j := 0; j < numStates/2; j++ {
+			o := butterflyOut[j]
+			lo, hi := metric[j], metric[j|numStates/2]
+			same, flip := bm[o&3], bm[(o^3)&3] // &3: o < 4; drops the bounds checks
+			// Input 0 → state 2j: the lower predecessor emits o, the
+			// upper its complement; input 1 → 2j+1 swaps them. The upper
+			// predecessor survives only when strictly cheaper.
+			c0, c1 := lo+same, hi+flip
+			var up0 uint64
+			if c1 < c0 {
+				up0 = 1
+			}
+			next[2*j] = min(c0, c1)
+			c2, c3 := lo+flip, hi+same
+			var up1 uint64
+			if c3 < c2 {
+				up1 = 2
+			}
+			next[2*j+1] = min(c2, c3)
+			dec |= (up0 | up1) << (2 * j)
+		}
+		survivors[t] = dec
+
+		// A pinned input rules out the states whose newest bit differs.
+		forced := -1
 		switch {
 		case t < len(in.PinnedPrefix):
-			forced = int8(in.PinnedPrefix[t] & 1)
-		case t >= n-len(in.PinnedSuffix):
-			forced = int8(in.PinnedSuffix[t-(n-len(in.PinnedSuffix))] & 1)
+			forced = int(in.PinnedPrefix[t] & 1)
+		case t >= suffixStart:
+			forced = int(in.PinnedSuffix[t-suffixStart] & 1)
 		}
-		ta, tb := in.Bits[2*t]&1, in.Bits[2*t+1]&1
-		wa, wb := weight(2*t), weight(2*t+1)
-		for s := 0; s < numStates; s++ {
-			m := metric[s]
-			if math.IsInf(m, 1) {
-				continue
-			}
-			for u := byte(0); u <= 1; u++ {
-				if forced >= 0 && u != byte(forced) {
-					continue
-				}
-				a, b := outputs(uint8(s), u)
-				cost := m
-				if a != ta {
-					cost += wa
-				}
-				if b != tb {
-					cost += wb
-				}
-				ns := nextState(uint8(s), u)
-				if cost < next[ns] {
-					next[ns] = cost
-					survivors[t][ns] = uint8(s)
-				}
+		if forced >= 0 {
+			for s := 1 - forced; s < numStates; s += 2 {
+				next[s] = math.Inf(1)
 			}
 		}
-		metric, next = next, metric
+		metric = next
 	}
 
 	// Select the best terminal state; pinned suffix bits already restrict
@@ -168,10 +208,10 @@ func Decode(in Input) ([]byte, error) {
 
 	// Traceback: input t is bit 0 of the state entered after step t.
 	info := make([]byte, n)
-	s := uint8(best)
+	s := uint(best)
 	for t := n - 1; t >= 0; t-- {
-		info[t] = s & 1
-		s = survivors[t][s]
+		info[t] = byte(s & 1)
+		s = s>>1 | (uint(survivors[t]>>s)&1)<<5
 	}
 	in.Obs.observeDecode(n)
 	return info, nil

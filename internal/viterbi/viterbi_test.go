@@ -1,10 +1,111 @@
 package viterbi
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// referenceDecode is the textbook forward-push Viterbi that Decode
+// replaced: every state pushes both inputs into its successors, costs
+// accumulate one position at a time, and a strict < over ascending
+// states keeps the lower predecessor on ties. It is the oracle the
+// butterfly decoder must match bit for bit on integer weights.
+func referenceDecode(in Input) ([]byte, error) {
+	if len(in.Bits)%2 != 0 {
+		return nil, fmt.Errorf("viterbi: %d mother bits, want even", len(in.Bits))
+	}
+	n := len(in.Bits) / 2
+	if in.Weight != nil && len(in.Weight) != len(in.Bits) {
+		return nil, fmt.Errorf("viterbi: %d weights for %d positions", len(in.Weight), len(in.Bits))
+	}
+	if len(in.PinnedPrefix)+len(in.PinnedSuffix) > n {
+		return nil, fmt.Errorf("viterbi: pinned %d+%d bits exceed %d inputs",
+			len(in.PinnedPrefix), len(in.PinnedSuffix), n)
+	}
+	weight := func(pos int) float64 {
+		if in.Weight == nil {
+			return 1
+		}
+		return in.Weight[pos]
+	}
+
+	metric := make([]float64, numStates)
+	next := make([]float64, numStates)
+	for s := range metric {
+		metric[s] = math.Inf(1)
+	}
+	metric[0] = 0
+	// survivors[t][s] = predecessor state of the best path entering state
+	// s after input t. The input bit itself is bit 0 of s (state = six
+	// most recent inputs, newest in bit 0).
+	survivors := make([][numStates]uint8, n)
+
+	for t := 0; t < n; t++ {
+		for s := range next {
+			next[s] = math.Inf(1)
+		}
+		var forced int8 = -1
+		switch {
+		case t < len(in.PinnedPrefix):
+			forced = int8(in.PinnedPrefix[t] & 1)
+		case t >= n-len(in.PinnedSuffix):
+			forced = int8(in.PinnedSuffix[t-(n-len(in.PinnedSuffix))] & 1)
+		}
+		ta, tb := in.Bits[2*t]&1, in.Bits[2*t+1]&1
+		wa, wb := weight(2*t), weight(2*t+1)
+		for s := 0; s < numStates; s++ {
+			m := metric[s]
+			if math.IsInf(m, 1) {
+				continue
+			}
+			for u := byte(0); u <= 1; u++ {
+				if forced >= 0 && u != byte(forced) {
+					continue
+				}
+				a, b := outputs(uint8(s), u)
+				cost := m
+				if a != ta {
+					cost += wa
+				}
+				if b != tb {
+					cost += wb
+				}
+				ns := nextState(uint8(s), u)
+				if cost < next[ns] {
+					next[ns] = cost
+					survivors[t][ns] = uint8(s)
+				}
+			}
+		}
+		metric, next = next, metric
+	}
+
+	// Select the best terminal state; pinned suffix bits already restrict
+	// the reachable set (six zero tail bits force state 0).
+	best := 0
+	bestM := math.Inf(1)
+	for s, m := range metric {
+		if m < bestM {
+			bestM, best = m, s
+		}
+	}
+	if math.IsInf(metric[best], 1) {
+		return nil, fmt.Errorf("viterbi: no path satisfies the pinned bits")
+	}
+
+	// Traceback: input t is bit 0 of the state entered after step t.
+	info := make([]byte, n)
+	s := uint8(best)
+	for t := n - 1; t >= 0; t-- {
+		info[t] = s & 1
+		s = survivors[t][s]
+	}
+	in.Obs.observeDecode(n)
+	return info, nil
+}
 
 func randBits(rng *rand.Rand, n int) []byte {
 	out := make([]byte, n)
@@ -350,16 +451,166 @@ func TestEncodeLinearity(t *testing.T) {
 	}
 }
 
+// rate56Erased reports whether mother position i is stolen by the
+// 802.11 rate-5/6 puncturer: of every five input bits it keeps A1 B1 A2
+// B3 A4 B5, erasing B2, A3, B4 and A5.
+func rate56Erased(i int) bool {
+	switch i % 10 {
+	case 3, 4, 7, 8:
+		return true
+	}
+	return false
+}
+
+// coreStyleWeights draws n mother-position weights the way quality-mode
+// synthesis builds them: a Table 1 level (don't-care 1, adjacent 100,
+// important 1000) times a 64-QAM bit significance (1, 2 or 4), with the
+// rate-5/6 stolen positions erased to 0.
+func coreStyleWeights(rng *rand.Rand, n int) []float64 {
+	levels := []float64{1, 1, 1, 1, 1, 1, 100, 100, 1000, 1000}
+	w := make([]float64, n)
+	for i := range w {
+		if rate56Erased(i) {
+			continue
+		}
+		w[i] = levels[rng.Intn(len(levels))] * float64(int(1)<<rng.Intn(3))
+	}
+	return w
+}
+
+// decodeMatchesReference runs both decoders on in and reports the first
+// difference: an error on one side only, or a differing bit.
+func decodeMatchesReference(in Input) error {
+	got, gotErr := Decode(in)
+	want, wantErr := referenceDecode(in)
+	if (gotErr == nil) != (wantErr == nil) {
+		return fmt.Errorf("error %v, reference error %v", gotErr, wantErr)
+	}
+	if len(got) != len(want) {
+		return fmt.Errorf("%d bits, reference %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			return fmt.Errorf("bit %d = %d, reference %d", i, got[i], want[i])
+		}
+	}
+	return nil
+}
+
+func TestDecodeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	cases := []struct {
+		name   string
+		weight func(n int) []float64
+	}{
+		// All-ones weights make nearly every comparison a tie, so this
+		// family pins the lower-predecessor tie-break.
+		{"nil-weights", func(int) []float64 { return nil }},
+		{"ones", func(n int) []float64 {
+			w := make([]float64, n)
+			for i := range w {
+				w[i] = 1
+			}
+			return w
+		}},
+		{"core-style", func(n int) []float64 { return coreStyleWeights(rng, n) }},
+		{"uniform-0-4000", func(n int) []float64 {
+			w := make([]float64, n)
+			for i := range w {
+				if rng.Intn(5) > 0 {
+					w[i] = float64(1 + rng.Intn(4000))
+				}
+			}
+			return w
+		}},
+	}
+	for _, c := range cases {
+		for trial := 0; trial < 40; trial++ {
+			n := 1 + rng.Intn(300)
+			in := Input{Bits: randBits(rng, 2*n), Weight: c.weight(2 * n)}
+			if trial%2 == 1 {
+				pre := rng.Intn(n + 1)
+				in.PinnedPrefix = randBits(rng, pre)
+				in.PinnedSuffix = randBits(rng, rng.Intn(n-pre+1))
+			}
+			if err := decodeMatchesReference(in); err != nil {
+				t.Fatalf("%s trial %d (n=%d, pins %d+%d): %v", c.name, trial, n,
+					len(in.PinnedPrefix), len(in.PinnedSuffix), err)
+			}
+		}
+	}
+}
+
+func TestDecodeInfeasiblePinsMatchReference(t *testing.T) {
+	// Infinite weights turn positions into hard constraints; a pinned
+	// input whose forced output contradicts one leaves no finite path.
+	rng := rand.New(rand.NewSource(22))
+	for trial := 0; trial < 20; trial++ {
+		n := 10 + rng.Intn(50)
+		pin := randBits(rng, 4)
+		coded, _ := Encode(pin, 0)
+		bits := randBits(rng, 2*n)
+		copy(bits, coded)
+		bits[2*len(pin)-1] ^= 1 // the last pinned step's B output
+		w := make([]float64, 2*n)
+		for i := range w {
+			w[i] = 1
+		}
+		w[2*len(pin)-1] = math.Inf(1)
+		in := Input{Bits: bits, Weight: w, PinnedPrefix: pin, PinnedSuffix: PinnedSuffixZeros(6)}
+		if _, err := Decode(in); err == nil {
+			t.Fatalf("trial %d: infeasible pins decoded without error", trial)
+		}
+		if err := decodeMatchesReference(in); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+	}
+}
+
+// FuzzDecodeMatchesReference derives a decoding problem from the fuzz
+// bytes — target bits, integer weights in 0..4000 and pin lengths — and
+// requires the butterfly decoder to match the forward-push reference.
+func FuzzDecodeMatchesReference(f *testing.F) {
+	f.Add([]byte{0x5a, 0x13, 0xff, 0x00, 0x42, 0x99, 0x07}, uint8(2), uint8(6))
+	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, pre, suf uint8) {
+		n := len(data) / 2
+		if n == 0 || n > 512 {
+			return
+		}
+		in := Input{Bits: make([]byte, 2*n), Weight: make([]float64, 2*n)}
+		for i := range in.Bits {
+			in.Bits[i] = data[i] & 1
+			in.Weight[i] = float64(int(data[i]>>1) * 4000 / 127)
+		}
+		p, q := int(pre)%(n+1), int(suf)
+		q %= n - p + 1
+		in.PinnedPrefix = make([]byte, p)
+		for i := range in.PinnedPrefix {
+			in.PinnedPrefix[i] = data[i] >> 7
+		}
+		in.PinnedSuffix = make([]byte, q)
+		for i := range in.PinnedSuffix {
+			in.PinnedSuffix[i] = data[len(data)-1-i] >> 6 & 1
+		}
+		if err := decodeMatchesReference(in); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// BenchmarkDecode1000Bits decodes one quality-mode-shaped problem: core
+// Table 1 weights, rate-5/6 erasures and the pinned six-bit zero tail.
 func BenchmarkDecode1000Bits(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	target := randBits(rng, 2000)
-	w := make([]float64, 2000)
-	for i := range w {
-		w[i] = 1
+	in := Input{
+		Bits:         randBits(rng, 2000),
+		Weight:       coreStyleWeights(rng, 2000),
+		PinnedSuffix: PinnedSuffixZeros(6),
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decode(Input{Bits: target, Weight: w}); err != nil {
+		if _, err := Decode(in); err != nil {
 			b.Fatal(err)
 		}
 	}
